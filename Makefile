@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: all check fmt vet staticcheck build test race race-parallel race-obs race-storage paritycheck trace bench benchdelta benchdelta-all scalesweep racksweep connsweep connsweep-full parallelsweep kvsweep
+.PHONY: all check fmt vet staticcheck deadcode-check build test race race-parallel race-obs race-storage paritycheck trace bench benchdelta benchdelta-all scalesweep racksweep connsweep connsweep-full parallelsweep kvsweep
 
 all: check
 
-check: fmt vet staticcheck build test race race-parallel race-obs race-storage paritycheck benchdelta-all racksweep connsweep kvsweep
+check: fmt vet staticcheck deadcode-check build test race race-parallel race-obs race-storage paritycheck benchdelta-all racksweep connsweep kvsweep
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -24,6 +24,27 @@ staticcheck:
 		echo "staticcheck not installed; skipping"; \
 	fi
 
+# Dead-code gate: every package under internal/ needs a non-test importer
+# (in this module or the benchmark driver's), and no process-wide
+# run-default setter may come back — runs are configured by passing a
+# core.RunConfig. The one exception is core.SetDefaultSharding, kept only
+# for the benchmark driver under perfbench/.
+deadcode-check:
+	@fail=0; \
+	imports=$$( { $(GO) list -f '{{join .Imports "\n"}}' ./... && \
+		cd perfbench && $(GO) list -f '{{join .Imports "\n"}}' ./...; } | sort -u) || exit 1; \
+	for p in $$($(GO) list ./internal/...); do \
+		echo "$$imports" | grep -qx "$$p" || { echo "deadcode: $$p has no non-test importer"; fail=1; }; \
+	done; \
+	setters=$$(grep -rnE '^func (SetDefault[A-Za-z0-9_]*|Set[A-Za-z0-9_]*Lookahead)\(' \
+		--include='*.go' --exclude='*_test.go' internal cmd examples | \
+		grep -v '^internal/core/core.go:[0-9]*:func SetDefaultSharding('); \
+	if [ -n "$$setters" ]; then \
+		echo "deadcode: process-wide run-default setters (pass a core.RunConfig instead):"; \
+		echo "$$setters"; fail=1; \
+	fi; \
+	[ $$fail -eq 0 ] && echo "deadcode-check OK"; exit $$fail
+
 build:
 	$(GO) build ./...
 
@@ -34,11 +55,12 @@ race: build
 	$(GO) test -race ./...
 
 # Focused race check on the parallel simulation driver — including the
-# adaptive width-controller, barrier-elision and mailbox-recycling paths
+# adaptive width-controller, barrier-elision and mailbox-recycling paths —
+# and on two experiments running at once under their own RunConfigs
 # (fast; also covered by the full `race` target, kept separate so CI can
 # run it on every push).
 race-parallel: build
-	$(GO) test -race -run 'Parallel|Adaptive|Mailbox|Static' ./internal/sim/...
+	$(GO) test -race -run 'Parallel|Adaptive|Mailbox|Static' ./internal/sim/... ./internal/experiments/...
 
 # Focused race check on the tracing/metrics and fleet-control packages (the
 # observability surfaces every other subsystem calls into concurrently).

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/dns"
 )
 
@@ -25,7 +26,7 @@ func reportSeries(b *testing.B, r *bench.Result, unit string) {
 func BenchmarkFig05BootTime(b *testing.B) {
 	var r *bench.Result
 	for i := 0; i < b.N; i++ {
-		r = bench.Fig5BootTime([]int{64, 512, 3072})
+		r = bench.Fig5BootTime(core.RunConfig{}, []int{64, 512, 3072})
 	}
 	reportSeries(b, r, "s_at_3072MiB")
 }
@@ -66,7 +67,7 @@ func BenchmarkFig07bJitter(b *testing.B) {
 func BenchmarkPingLatency(b *testing.B) {
 	var r *bench.Result
 	for i := 0; i < b.N; i++ {
-		r = bench.PingLatency(2_000)
+		r = bench.PingLatency(core.RunConfig{}, 2_000)
 	}
 	reportSeries(b, r, "rtt_us")
 }
@@ -75,7 +76,7 @@ func BenchmarkPingLatency(b *testing.B) {
 func BenchmarkFig08TCP(b *testing.B) {
 	var r *bench.Result
 	for i := 0; i < b.N; i++ {
-		r = bench.Fig8TCP(2 << 20)
+		r = bench.Fig8TCP(core.RunConfig{}, 2<<20)
 	}
 	reportSeries(b, r, "Mbps_10flows")
 }
@@ -85,7 +86,7 @@ func BenchmarkFig08TCP(b *testing.B) {
 func BenchmarkFig09BlockRead(b *testing.B) {
 	var r *bench.Result
 	for i := 0; i < b.N; i++ {
-		r = bench.Fig9BlockRead([]int{4, 64, 1024, 4096}, 256)
+		r = bench.Fig9BlockRead(core.RunConfig{}, []int{4, 64, 1024, 4096}, 256)
 	}
 	reportSeries(b, r, "MiBps_at_4MiB")
 }
@@ -94,7 +95,7 @@ func BenchmarkFig09BlockRead(b *testing.B) {
 func BenchmarkFig10DNS(b *testing.B) {
 	var r *bench.Result
 	for i := 0; i < b.N; i++ {
-		r = bench.Fig10DNS([]int{100, 1000, 10000}, 5_000)
+		r = bench.Fig10DNS(core.RunConfig{}, []int{100, 1000, 10000}, 5_000)
 	}
 	reportSeries(b, r, "kqps_at_10k")
 }
@@ -176,7 +177,7 @@ func BenchmarkDNSLabelCompression(b *testing.B) {
 func BenchmarkAblationSeal(b *testing.B) {
 	var r *bench.Result
 	for i := 0; i < b.N; i++ {
-		r = bench.AblationSeal()
+		r = bench.AblationSeal(core.RunConfig{})
 	}
 	reportSeries(b, r, "us_sealed")
 }
@@ -185,7 +186,7 @@ func BenchmarkAblationSeal(b *testing.B) {
 func BenchmarkAblationVchan(b *testing.B) {
 	var r *bench.Result
 	for i := 0; i < b.N; i++ {
-		r = bench.AblationVchan()
+		r = bench.AblationVchan(core.RunConfig{})
 	}
 	reportSeries(b, r, "notifies")
 }
@@ -194,7 +195,7 @@ func BenchmarkAblationVchan(b *testing.B) {
 func BenchmarkAblationToolstack(b *testing.B) {
 	var r *bench.Result
 	for i := 0; i < b.N; i++ {
-		r = bench.AblationToolstack(4, 256)
+		r = bench.AblationToolstack(core.RunConfig{}, 4, 256)
 	}
 	reportSeries(b, r, "s")
 }

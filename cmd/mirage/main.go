@@ -29,7 +29,6 @@ import (
 	"repro/internal/hypervisor"
 	"repro/internal/netback"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 func applianceConfig(name string) (build.Config, error) {
@@ -76,11 +75,7 @@ func main() {
 	jitter := fs.Duration("jitter", 0, "boot: max extra per-frame delivery delay")
 	fs.Parse(os.Args[2:])
 
-	if *loss > 0 || *dup > 0 || *reorder > 0 || *jitter > 0 {
-		netback.SetDefaultFaults(netback.Faults{
-			Drop: *loss, Dup: *dup, Reorder: *reorder, Jitter: *jitter,
-		})
-	}
+	run := core.RunConfig{Faults: netback.Faults{Drop: *loss, Dup: *dup, Reorder: *reorder, Jitter: *jitter}}
 
 	switch cmd {
 	case "list":
@@ -128,9 +123,9 @@ func main() {
 		if *traceOut != "" {
 			tracer = obs.NewTracer(obs.DefaultCap)
 			tracer.Enable()
-			sim.SetDefaultObs(tracer, obs.NewRegistry())
+			run.Trace = tracer
 		}
-		pl := core.NewPlatform(*seed)
+		pl := core.NewPlatform(*seed, run)
 		dep := pl.Deploy(core.Unikernel{
 			Build: cfg,
 			Main: func(env *core.Env) int {
@@ -168,7 +163,7 @@ func main() {
 	case "top":
 		// Virtual xentop: boot the appliance, let it run briefly, and print
 		// the hypervisor's per-domain accounting table.
-		pl := core.NewPlatform(*seed)
+		pl := core.NewPlatform(*seed, run)
 		pl.Deploy(core.Unikernel{
 			Build: cfg,
 			Main: func(env *core.Env) int {

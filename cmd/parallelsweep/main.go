@@ -33,7 +33,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // pr7StaticEpochs is the scalesweep sim_cluster_epochs_total recorded at
@@ -101,13 +100,11 @@ func main() {
 	// Same seed, same layout, single-threaded — every recorded value is
 	// exactly reproducible, so benchjson -delta can gate regressions.
 	registry := obs.NewRegistry()
-	sim.SetDefaultObs(nil, registry)
-	core.SetDefaultSharding(4, false)
-	core.SetAdaptiveLookahead(true, 0, 0)
-	if _, err := exp.Run(opts); err != nil {
+	counted := opts
+	counted.Run = core.RunConfig{PCPUs: 4, Metrics: registry}
+	if _, err := exp.Run(counted); err != nil {
 		fatal(fmt.Errorf("counters run: %w", err))
 	}
-	sim.SetDefaultObs(nil, nil)
 	d.Counters = map[string]float64{}
 	for _, row := range registry.Snapshot().Filter("sim_cluster_").Rows {
 		switch row.Kind {
@@ -133,10 +130,11 @@ func main() {
 			{"pcpus4_parallel", 4, true},
 		}
 		for _, drv := range drivers {
-			core.SetDefaultSharding(drv.pcpus, drv.parallel)
+			timed := opts
+			timed.Run = core.RunConfig{PCPUs: drv.pcpus, Parallel: drv.parallel}
 			for i := 0; i < *runs; i++ {
 				start := time.Now()
-				if _, err := exp.Run(opts); err != nil {
+				if _, err := exp.Run(timed); err != nil {
 					fatal(fmt.Errorf("%s run %d: %w", drv.name, i, err))
 				}
 				sec := math.Round(time.Since(start).Seconds()*1000) / 1000
@@ -150,7 +148,6 @@ func main() {
 		d.Speedup = math.Round(s/p*100) / 100
 	}
 
-	core.SetDefaultSharding(1, false)
 	b, err := json.MarshalIndent(d, "", "  ")
 	if err != nil {
 		fatal(err)

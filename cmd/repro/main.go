@@ -31,7 +31,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/netback"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -48,8 +47,6 @@ func main() {
 	pcpus := flag.Int("pcpus", 1, "shard the event queue across this many per-pCPU kernels (1 = classic single kernel)")
 	parallel := flag.Bool("parallel", false, "drive the pCPU shards on OS threads (requires -pcpus > 1); output is byte-identical to the single-threaded run")
 	adaptive := flag.Bool("adaptive", true, "adaptive epoch widths for the sharded drivers (off = static lookahead-W epochs)")
-	widthBusy := flag.Int("width-busy", 0, "adaptive width cap, in lookaheads, while cross-shard traffic flows (0 = built-in default)")
-	widthQuiet := flag.Int("width-quiet", 0, "adaptive width cap, in lookaheads, during quiet stretches (0 = built-in default)")
 	// Every experiment knob (-quick, -seed, -replicas-min, ...) comes from
 	// the registry's parameter declarations; nothing is hand-registered here.
 	expOpts := experiments.BindFlags(flag.CommandLine)
@@ -59,20 +56,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "repro: -parallel requires -pcpus > 1")
 		os.Exit(2)
 	}
-	if *pcpus > 1 {
-		core.SetDefaultSharding(*pcpus, *parallel)
-		core.SetAdaptiveLookahead(*adaptive, *widthBusy, *widthQuiet)
-	}
-
-	if *loss > 0 || *dup > 0 || *reorder > 0 || *jitter > 0 {
-		// Applies to every bridge the experiments create. Note some
-		// experiments (e.g. ping) assert loss-free completion and will
-		// abort under aggressive impairment — that is the point.
-		netback.SetDefaultFaults(netback.Faults{
-			Drop: *loss, Dup: *dup, Reorder: *reorder, Jitter: *jitter,
-		})
-	}
-
 	var tracer *obs.Tracer
 	registry := obs.NewRegistry()
 	if *traceOut != "" {
@@ -80,8 +63,18 @@ func main() {
 		tracer.Enable()
 	}
 	// Every kernel the experiments create shares this tracer/registry, so
-	// one trace file covers the whole invocation end to end.
-	sim.SetDefaultObs(tracer, registry)
+	// one trace file covers the whole invocation end to end. The faults
+	// apply to every bridge the experiments create; some experiments (e.g.
+	// ping) assert loss-free completion and will abort under aggressive
+	// impairment — that is the point.
+	run := core.RunConfig{
+		PCPUs:        *pcpus,
+		Parallel:     *parallel,
+		StaticEpochs: !*adaptive,
+		Faults:       netback.Faults{Drop: *loss, Dup: *dup, Reorder: *reorder, Jitter: *jitter},
+		Trace:        tracer,
+		Metrics:      registry,
+	}
 
 	exps := experiments.All()
 	if *list {
@@ -92,6 +85,7 @@ func main() {
 	}
 
 	opts := expOpts()
+	opts.Run = run
 
 	want := map[string]bool{}
 	for _, id := range strings.Split(*which, ",") {

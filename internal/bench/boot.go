@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/conventional"
+	"repro/internal/core"
 	"repro/internal/hypervisor"
 	"repro/internal/sim"
 )
@@ -13,8 +14,8 @@ var DefaultBootMems = []int{8, 16, 32, 64, 128, 256, 512, 1024, 2048, 3072}
 
 // buildTime measures domain-construction time for a memory size on a fresh
 // host using the real toolstack path.
-func buildTime(memMiB int, parallel bool) time.Duration {
-	k := sim.NewKernel(1)
+func buildTime(rc core.RunConfig, memMiB int, parallel bool) time.Duration {
+	k := sim.NewKernel(1, rc.Obs())
 	h := hypervisor.NewHost(k, 1)
 	var elapsed time.Duration
 	k.Spawn("toolstack", func(p *sim.Proc) {
@@ -34,7 +35,7 @@ func buildTime(memMiB int, parallel bool) time.Duration {
 // Fig5BootTime regenerates Figure 5: total boot time (stock synchronous
 // toolstack + domain build + guest boot to first UDP packet) against
 // memory size for Mirage, a minimal Linux PV kernel, and Debian+Apache2.
-func Fig5BootTime(memsMiB []int) *Result {
+func Fig5BootTime(rc core.RunConfig, memsMiB []int) *Result {
 	if memsMiB == nil {
 		memsMiB = DefaultBootMems
 	}
@@ -57,7 +58,7 @@ func Fig5BootTime(memsMiB []int) *Result {
 		s := Series{Name: prof.Name}
 		for _, m := range memsMiB {
 			total := conventional.SyncToolstackOverhead +
-				buildTime(m, false) +
+				buildTime(rc, m, false) +
 				prof.GuestBootTime(uint64(m)<<20)
 			s.X = append(s.X, float64(m))
 			s.Y = append(s.Y, total.Seconds())
@@ -105,9 +106,9 @@ func Fig6BootAsync(memsMiB []int) *Result {
 // AblationToolstack compares synchronous vs parallel domain construction
 // time for a batch of simultaneous creations (the design choice behind
 // Figures 5 vs 6).
-func AblationToolstack(n int, memMiB int) *Result {
+func AblationToolstack(rc core.RunConfig, n int, memMiB int) *Result {
 	run := func(parallel bool) float64 {
-		k := sim.NewKernel(1)
+		k := sim.NewKernel(1, rc.Obs())
 		h := hypervisor.NewHost(k, 1)
 		var last sim.Time
 		for i := 0; i < n; i++ {

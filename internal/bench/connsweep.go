@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"time"
 
 	"repro/internal/build"
@@ -107,22 +106,6 @@ type csClient struct {
 type csProbe struct {
 	lats [][]float64
 	fail int
-}
-
-func csPct(lats []float64, q float64) float64 {
-	if len(lats) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), lats...)
-	sort.Float64s(s)
-	i := int(q*float64(len(s))+0.5) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(s) {
-		i = len(s) - 1
-	}
-	return s[i]
 }
 
 // csUntil sleeps p's scheduler until the absolute virtual instant at, then
@@ -342,7 +325,7 @@ func csHeap() uint64 {
 // between Run calls, where the sharded accessors are defined. memStats
 // additionally samples the process heap at each barrier (host-dependent;
 // off by default).
-func ConnSweep(seed int64, quick bool, memStats bool) *Result {
+func ConnSweep(rc core.RunConfig, seed int64, quick bool, memStats bool) *Result {
 	cfg := csConf(quick)
 	warmup := time.Second
 
@@ -359,7 +342,7 @@ func ConnSweep(seed int64, quick bool, memStats bool) *Result {
 	closeBarrier := closeEnd + cfg.settle
 	drainEnd := closeEnd + cfg.timeWait + 500*time.Millisecond
 
-	pl := core.NewPlatform(seed)
+	pl := core.NewPlatform(seed, rc)
 	before := pl.K.Metrics().Snapshot()
 
 	// The fleet is fixed (Min == Max): every replica is deployed on its own
@@ -463,8 +446,8 @@ func ConnSweep(seed int64, quick bool, memStats bool) *Result {
 		f    func(si int) float64
 	}{
 		{"established conns", func(si int) float64 { return float64(estab[si]) }},
-		{"probe p50 ms", func(si int) float64 { return csPct(probe.lats[si], 0.50) / 1000 }},
-		{"probe p99 ms", func(si int) float64 { return csPct(probe.lats[si], 0.99) / 1000 }},
+		{"probe p50 ms", func(si int) float64 { return quantile(probe.lats[si], 0.50) / 1000 }},
+		{"probe p99 ms", func(si int) float64 { return quantile(probe.lats[si], 0.99) / 1000 }},
 		{"event queue len", func(si int) float64 { return float64(queueLen[si]) }},
 		{"wheel timers", func(si int) float64 { return float64(wheelLen[si]) }},
 	}
@@ -490,7 +473,7 @@ func ConnSweep(seed int64, quick bool, memStats bool) *Result {
 		res.Notes = append(res.Notes, fmt.Sprintf(
 			"step %d conns: established %d failed %d, event queue %d, wheel timers %d, probe p99 %.3f ms",
 			steps[si].target, estab[si], failed[si], queueLen[si], wheelLen[si],
-			csPct(probe.lats[si], 0.99)/1000))
+			quantile(probe.lats[si], 0.99)/1000))
 	}
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"mass close: %d closed, %d TIME_WAIT timers parked on wheels, event queue %d at close barrier",

@@ -59,7 +59,7 @@ type kvRunStats struct {
 // into one indirect scatter-gather barrier; the buffer cache charges its
 // serialized management CPU per chunk and un-merges the flush, so the
 // curves separate as depth grows.
-func KVSweep(cfg KVSweepConfig) *Result {
+func KVSweep(rc core.RunConfig, cfg KVSweepConfig) *Result {
 	if cfg.Seed == 0 {
 		cfg.Seed = 42
 	}
@@ -120,7 +120,7 @@ func KVSweep(cfg KVSweepConfig) *Result {
 	for _, mode := range []string{"direct", "buffered"} {
 		s := Series{Name: mode}
 		for i, qd := range qds {
-			st := kvSweepRun(mode == "buffered", qd, cfg.Seed, nkeys, ops, cfg.ValueBytes, cfg.ReadPct)
+			st := kvSweepRun(rc, mode == "buffered", qd, cfg.Seed, nkeys, ops, cfg.ValueBytes, cfg.ReadPct)
 			s.X = append(s.X, float64(qd))
 			s.Y = append(s.Y, st.kops)
 			r.Notes = append(r.Notes, fmt.Sprintf(
@@ -140,7 +140,7 @@ func KVSweep(cfg KVSweepConfig) *Result {
 // it, prepopulates and checkpoints nkeys keys (untimed), then drives the
 // precomputed op mix closed-loop at queue depth qd and returns throughput
 // measured from first issue to last completion.
-func kvSweepRun(buffered bool, qd int, seed int64, nkeys, opCount, valueBytes, readPct int) kvRunStats {
+func kvSweepRun(rc core.RunConfig, buffered bool, qd int, seed int64, nkeys, opCount, valueBytes, readPct int) kvRunStats {
 	rng := rand.New(rand.NewSource(seed*1000 + int64(qd)))
 	ops := make([]kvOp, opCount)
 	for i := range ops {
@@ -152,7 +152,7 @@ func kvSweepRun(buffered bool, qd int, seed int64, nkeys, opCount, valueBytes, r
 	}
 	key := func(i int) []byte { return []byte(fmt.Sprintf("k%06d", i)) }
 
-	pl := core.NewPlatform(seed)
+	pl := core.NewPlatform(seed, rc)
 	before := pl.K.Metrics().Snapshot()
 	var start, finish sim.Time
 	completed, checkpoints := 0, 0

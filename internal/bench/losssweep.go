@@ -33,8 +33,8 @@ type lossRunStats struct {
 // the TCP loss-recovery counters. Both guests run the full device path
 // (grant-copy TX, posted RX, ARP, IP), so every dropped frame exercises
 // the same recovery machinery a real deployment would.
-func lossSweepRun(faults netback.Faults, bytesPerFlow int) lossRunStats {
-	pl := core.NewPlatform(53)
+func lossSweepRun(rc core.RunConfig, faults netback.Faults, bytesPerFlow int) lossRunStats {
+	pl := core.NewPlatform(53, rc)
 	before := pl.K.Metrics().Snapshot()
 	pl.Bridge.SetFaults(faults)
 	serverIP, clientIP := ipv4.AddrFrom4(10, 0, 0, 2), ipv4.AddrFrom4(10, 0, 0, 1)
@@ -116,7 +116,7 @@ func lossSweepRun(faults netback.Faults, bytesPerFlow int) lossRunStats {
 // bridge drops a growing fraction of frames. The point is graceful
 // degradation: every transfer must complete — recovery just shifts from
 // fast retransmit to RTO (and persist probes) as loss grows.
-func LossSweep(bytesPerFlow int, rates []float64) *Result {
+func LossSweep(rc core.RunConfig, bytesPerFlow int, rates []float64) *Result {
 	if bytesPerFlow == 0 {
 		bytesPerFlow = 4 << 20
 	}
@@ -134,7 +134,7 @@ func LossSweep(bytesPerFlow int, rates []float64) *Result {
 	}
 	s := Series{Name: "goodput"}
 	for i, rate := range rates {
-		st := lossSweepRun(netback.Faults{Drop: rate}, bytesPerFlow)
+		st := lossSweepRun(rc, netback.Faults{Drop: rate}, bytesPerFlow)
 		s.X = append(s.X, rate*100)
 		s.Y = append(s.Y, st.goodput)
 		r.Notes = append(r.Notes, fmt.Sprintf(

@@ -22,13 +22,13 @@ var benchMask = ipv4.AddrFrom4(255, 255, 255, 0)
 // floods echo requests at a Linux-stack target and a Mirage target over
 // the full device path; Mirage pays a 4–10% latency premium for type-safe
 // parsing. Returns mean RTTs.
-func PingLatency(pings int) *Result {
+func PingLatency(rc core.RunConfig, pings int) *Result {
 	if pings == 0 {
 		pings = 20_000
 	}
 	var appendix []string
 	run := func(label string, targetParams netstack.Params) time.Duration {
-		pl := core.NewPlatform(77)
+		pl := core.NewPlatform(77, rc)
 		before := pl.K.Metrics().Snapshot()
 		var total time.Duration
 		done := 0
@@ -113,8 +113,8 @@ type fig8Host struct {
 
 // fig8Throughput transfers bytesPerFlow on each of n flows from a sender
 // with sendProf to a receiver with recvProf and returns Mb/s.
-func fig8Throughput(sendProf, recvProf conventional.NetProfile, flows, bytesPerFlow int) (float64, []string) {
-	k := sim.NewKernel(8)
+func fig8Throughput(rc core.RunConfig, sendProf, recvProf conventional.NetProfile, flows, bytesPerFlow int) (float64, []string) {
+	k := sim.NewKernel(8, rc.Obs())
 	before := k.Metrics().Snapshot()
 	const (
 		wireLatency = 15 * time.Microsecond
@@ -217,7 +217,7 @@ func fig8Throughput(sendProf, recvProf conventional.NetProfile, flows, bytesPerF
 // Fig8TCP regenerates the Figure 8 table: TCP throughput with all hardware
 // offload disabled, for 1 and 10 flows, across Linux->Linux, Linux->Mirage
 // and Mirage->Linux.
-func Fig8TCP(bytesPerFlow int) *Result {
+func Fig8TCP(rc core.RunConfig, bytesPerFlow int) *Result {
 	if bytesPerFlow == 0 {
 		bytesPerFlow = 4 << 20
 	}
@@ -245,7 +245,7 @@ func Fig8TCP(bytesPerFlow int) *Result {
 		s := Series{Name: c.name}
 		for _, flows := range []int{1, 10} {
 			per := bytesPerFlow / flows
-			tput, appendix := fig8Throughput(c.snd, c.rcv, flows, per)
+			tput, appendix := fig8Throughput(rc, c.snd, c.rcv, flows, per)
 			s.X = append(s.X, float64(flows))
 			s.Y = append(s.Y, tput)
 			if flows == 10 {
@@ -262,8 +262,8 @@ func Fig8TCP(bytesPerFlow int) *Result {
 // with a 1 KB payload and returns (round trips per second of virtual time,
 // pages recycled on the echo server). copyRX selects the server's receive
 // path.
-func zeroCopyEchoRate(rounds int, copyRX bool) (float64, int) {
-	pl := core.NewPlatform(31)
+func zeroCopyEchoRate(rc core.RunConfig, rounds int, copyRX bool) (float64, int) {
+	pl := core.NewPlatform(31, rc)
 	serverIP, clientIP := ipv4.AddrFrom4(10, 0, 0, 1), ipv4.AddrFrom4(10, 0, 0, 2)
 	payload := make([]byte, 1024)
 	var serverPool *cstruct.Pool

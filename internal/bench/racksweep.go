@@ -59,10 +59,10 @@ func rkConfigFor(quick bool) rkConfig {
 // client-observed latency and goodput, the live-replica envelope (the
 // kill's dip and the heal's recovery), the measured migration blackout and
 // the fabric's forwarding accounting.
-func RackSweep(seed int64, quick bool) *Result {
+func RackSweep(rc core.RunConfig, seed int64, quick bool) *Result {
 	cfg := rkConfigFor(quick)
 
-	pl := core.NewPlatform(seed)
+	pl := core.NewPlatform(seed, rc)
 	pl.AddHost("h1")
 	pl.AddHost("h2")
 	// Default topology: two hosts per rack, so h0+h1 share a ToR and h2
@@ -100,9 +100,9 @@ func RackSweep(seed int64, quick bool) *Result {
 		{sessPerSec: cfg.sessPerSec, reqs: cfg.reqs, think: cfg.think, dur: cfg.durs[1]},
 		{sessPerSec: cfg.sessPerSec, reqs: cfg.reqs, think: cfg.think, dur: cfg.durs[2]},
 	}
-	stats := []*swStats{{}, {}, {}}
+	var clients [][]*swStats
 	for c := 0; c < nClients; c++ {
-		deploySweepClient(pl, c, nClients, phases, stats, warmup)
+		clients = append(clients, deploySweepClient(pl, c, nClients, phases, warmup))
 	}
 
 	// Phase 1: live-migrate web-0 (on h1) to h2 under load.
@@ -162,6 +162,7 @@ func RackSweep(seed int64, quick bool) *Result {
 	if err := pl.Check(); err != nil {
 		panic(fmt.Sprintf("racksweep: %v", err))
 	}
+	stats := mergeSweepStats(clients)
 
 	// Hard invariants: these are what the experiment exists to show, so a
 	// run that misses them is broken, not merely slow.
@@ -193,8 +194,8 @@ func RackSweep(seed int64, quick bool) *Result {
 		name string
 		f    func(p int) float64
 	}{
-		{"p99 ms", func(p int) float64 { return stats[p].pct(0.99) / 1000 }},
-		{"p50 ms", func(p int) float64 { return stats[p].pct(0.50) / 1000 }},
+		{"p99 ms", func(p int) float64 { return quantile(stats[p].lats, 0.99) / 1000 }},
+		{"p50 ms", func(p int) float64 { return quantile(stats[p].lats, 0.50) / 1000 }},
 		{"goodput req/s", func(p int) float64 {
 			return float64(stats[p].reqsDone) / phases[p].dur.Seconds()
 		}},

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/build"
@@ -48,20 +47,23 @@ type swStats struct {
 	sessFail int
 }
 
-func (st *swStats) pct(q float64) float64 {
-	if len(st.lats) == 0 {
-		return 0
+// mergeSweepStats folds the load generators' per-phase stats into one per
+// phase. Each client records into its own stats (clients run on different
+// pCPU shards, possibly on different OS threads), and the quantiles sort
+// their samples, so the merge order does not matter.
+func mergeSweepStats(clients [][]*swStats) []*swStats {
+	out := make([]*swStats, len(clients[0]))
+	for p := range out {
+		m := &swStats{}
+		for _, c := range clients {
+			m.lats = append(m.lats, c[p].lats...)
+			m.reqsDone += c[p].reqsDone
+			m.sessOK += c[p].sessOK
+			m.sessFail += c[p].sessFail
+		}
+		out[p] = m
 	}
-	s := append([]float64(nil), st.lats...)
-	sort.Float64s(s)
-	i := int(q*float64(len(s))+0.5) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(s) {
-		i = len(s) - 1
-	}
-	return s[i]
+	return out
 }
 
 func swPhases(quick bool) []swPhase {
@@ -192,9 +194,14 @@ func sweepSession(env *core.Env, st *swStats, reqs int, think time.Duration,
 
 // deploySweepClient deploys one load-generator guest. It launches its share
 // of each phase's sessions (index mod nClients) at deterministic arrival
-// offsets from warmup.
+// offsets from warmup, and returns the per-phase stats only this guest
+// writes (see mergeSweepStats).
 func deploySweepClient(pl *core.Platform, idx, nClients int, phases []swPhase,
-	stats []*swStats, warmup time.Duration) {
+	warmup time.Duration) []*swStats {
+	stats := make([]*swStats, len(phases))
+	for p := range stats {
+		stats[p] = &swStats{}
+	}
 	type launch struct {
 		at    time.Duration
 		end   time.Duration
@@ -256,13 +263,14 @@ func deploySweepClient(pl *core.Platform, idx, nClients int, phases []swPhase,
 		},
 		PCPU: -1,
 	})
+	return stats
 }
 
 // scalesweepRun boots one fleet (Min..Max replicas) and drives the phased
 // load at it, sampling the live-replica count through the run.
-func scalesweepRun(seed int64, minR, maxR int, policy fleet.Policy,
+func scalesweepRun(rc core.RunConfig, seed int64, minR, maxR int, policy fleet.Policy,
 	phases []swPhase, handlerCost time.Duration) *swRun {
-	pl := core.NewPlatform(seed)
+	pl := core.NewPlatform(seed, rc)
 	before := pl.K.Metrics().Snapshot()
 	f := fleet.New(pl, fleet.Spec{
 		Name:          "web",
@@ -283,15 +291,12 @@ func scalesweepRun(seed int64, minR, maxR int, policy fleet.Policy,
 		ProbeInterval: 50 * time.Millisecond,
 	})
 
-	run := &swRun{fleet: f}
-	for range phases {
-		run.stats = append(run.stats, &swStats{})
-		run.peak = append(run.peak, 0)
-	}
+	run := &swRun{fleet: f, peak: make([]int, len(phases))}
 	const warmup = 2 * time.Second
 	const nClients = 4
+	var clients [][]*swStats
 	for c := 0; c < nClients; c++ {
-		deploySweepClient(pl, c, nClients, phases, run.stats, warmup)
+		clients = append(clients, deploySweepClient(pl, c, nClients, phases, warmup))
 	}
 
 	// Sample the live-replica count every 100ms, folding each sample into
@@ -325,6 +330,7 @@ func scalesweepRun(seed int64, minR, maxR int, policy fleet.Policy,
 	if err := pl.Check(); err != nil {
 		panic(fmt.Sprintf("scalesweep: %v", err))
 	}
+	run.stats = mergeSweepStats(clients)
 	// Per-domain accounting: publish labeled gauges and keep the table (the
 	// virtual xentop) — both derived from virtual-time state, so they are
 	// byte-identical across same-seed serial and parallel runs.
@@ -336,14 +342,14 @@ func scalesweepRun(seed int64, minR, maxR int, policy fleet.Policy,
 
 // ScaleSweep runs the sweep against the autoscaled fleet (minR..maxR) and
 // the fixed single-replica baseline, same seed, and reports both.
-func ScaleSweep(seed int64, quick bool, minR, maxR int, policy fleet.Policy) *Result {
-	r, _ := ScaleSweepDomStat(seed, quick, minR, maxR, policy)
+func ScaleSweep(rc core.RunConfig, seed int64, quick bool, minR, maxR int, policy fleet.Policy) *Result {
+	r, _ := ScaleSweepDomStat(rc, seed, quick, minR, maxR, policy)
 	return r
 }
 
 // ScaleSweepDomStat is ScaleSweep plus the autoscaled run's final domstat
 // table (per-domain vCPU time, runqueue wait, notifications, pool usage).
-func ScaleSweepDomStat(seed int64, quick bool, minR, maxR int, policy fleet.Policy) (*Result, string) {
+func ScaleSweepDomStat(rc core.RunConfig, seed int64, quick bool, minR, maxR int, policy fleet.Policy) (*Result, string) {
 	if minR <= 0 {
 		minR = 1
 	}
@@ -359,8 +365,8 @@ func ScaleSweepDomStat(seed int64, quick bool, minR, maxR int, policy fleet.Poli
 		handlerCost = 2 * time.Millisecond
 	}
 
-	auto := scalesweepRun(seed, minR, maxR, policy, phases, handlerCost)
-	fixed := scalesweepRun(seed, 1, 1, policy, phases, handlerCost)
+	auto := scalesweepRun(rc, seed, minR, maxR, policy, phases, handlerCost)
+	fixed := scalesweepRun(rc, seed, 1, 1, policy, phases, handlerCost)
 
 	res := &Result{
 		ID:     "scalesweep",
@@ -372,10 +378,10 @@ func ScaleSweepDomStat(seed int64, quick bool, minR, maxR int, policy fleet.Poli
 		name string
 		f    func(p int) float64
 	}{
-		{"fleet p99 ms", func(p int) float64 { return auto.stats[p].pct(0.99) / 1000 }},
-		{"fixed p99 ms", func(p int) float64 { return fixed.stats[p].pct(0.99) / 1000 }},
-		{"fleet p50 ms", func(p int) float64 { return auto.stats[p].pct(0.50) / 1000 }},
-		{"fixed p50 ms", func(p int) float64 { return fixed.stats[p].pct(0.50) / 1000 }},
+		{"fleet p99 ms", func(p int) float64 { return quantile(auto.stats[p].lats, 0.99) / 1000 }},
+		{"fixed p99 ms", func(p int) float64 { return quantile(fixed.stats[p].lats, 0.99) / 1000 }},
+		{"fleet p50 ms", func(p int) float64 { return quantile(auto.stats[p].lats, 0.50) / 1000 }},
+		{"fixed p50 ms", func(p int) float64 { return quantile(fixed.stats[p].lats, 0.50) / 1000 }},
 		{"fleet goodput", func(p int) float64 {
 			return float64(auto.stats[p].reqsDone) / phases[p].dur.Seconds()
 		}},

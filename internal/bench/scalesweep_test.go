@@ -3,6 +3,7 @@ package bench
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/fleet"
 )
 
@@ -11,7 +12,7 @@ import (
 // baseline at the top step, and the whole rendered result must be
 // byte-identical across same-seed runs.
 func TestScaleSweep(t *testing.T) {
-	r := ScaleSweep(42, true, 1, 3, fleet.RoundRobin)
+	r := ScaleSweep(core.RunConfig{}, 42, true, 1, 3, fleet.RoundRobin)
 
 	reps := r.Get("fleet replicas")
 	if reps == nil || len(reps.Y) == 0 {
@@ -43,7 +44,7 @@ func TestScaleSweep(t *testing.T) {
 		t.Fatalf("fleet goodput %.0f <= fixed %.0f at top load\n%s", fg.Y[top], xg.Y[top], r.Format())
 	}
 
-	r2 := ScaleSweep(42, true, 1, 3, fleet.RoundRobin)
+	r2 := ScaleSweep(core.RunConfig{}, 42, true, 1, 3, fleet.RoundRobin)
 	if r.Format() != r2.Format() {
 		t.Fatalf("same-seed runs differ:\n--- run1\n%s\n--- run2\n%s", r.Format(), r2.Format())
 	}

@@ -83,6 +83,25 @@ func (r *Result) Format() string {
 	return b.String()
 }
 
+// quantile returns the q-quantile of xs by the nearest-rank rule
+// (rank int(q·n+0.5), clamped to [1, n]) over a sorted copy; 0 when xs is
+// empty.
+func quantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	i := int(q*float64(len(s))+0.5) - 1
+	if i < 0 {
+		i = 0
+	}
+	if i >= len(s) {
+		i = len(s) - 1
+	}
+	return s[i]
+}
+
 // metricsAppendix renders the registry delta since before (plus per-CPU
 // utilization gauges) for attachment to a Result. Prefixes filter the rows
 // so each figure's appendix shows the counters that explain it.

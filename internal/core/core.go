@@ -16,6 +16,10 @@
 //		},
 //	}, core.DeployOpts{Net: &netstack.Config{...}})
 //	pl.Run()
+//
+// How the run is simulated — sharding, bridge faults, tracer and registry —
+// is an explicit RunConfig argument to NewPlatform, never ambient state:
+// core.NewPlatform(42, core.RunConfig{PCPUs: 4, Metrics: reg}).
 package core
 
 import (
@@ -30,6 +34,7 @@ import (
 	"repro/internal/netback"
 	"repro/internal/netif"
 	"repro/internal/netstack"
+	"repro/internal/obs"
 	"repro/internal/pvboot"
 	"repro/internal/sim"
 	"repro/internal/xenstore"
@@ -43,7 +48,7 @@ import (
 // single-host callers are untouched by the multi-host surface.
 type Platform struct {
 	K       *sim.Kernel
-	Cluster *sim.Cluster // nil unless sharded (SetDefaultSharding pcpus > 1)
+	Cluster *sim.Cluster // nil unless sharded (RunConfig.PCPUs > 1)
 	Host    *hypervisor.Host
 	Bridge  *netback.Bridge
 	SSD     *blkback.SSD
@@ -52,7 +57,8 @@ type Platform struct {
 
 	sites       []*Site
 	npcpus      int
-	spread      int // round-robin cursor for AffinitySpread
+	faults      netback.Faults // every host bridge starts with these
+	spread      int            // round-robin cursor for AffinitySpread
 	deployments []*Deployment
 }
 
@@ -98,59 +104,74 @@ func (s *Site) SetDown() { s.down = true }
 // Alive reports whether the site accepts placements.
 func (s *Site) Alive() bool { return !s.down }
 
-// defaultPCPUs/defaultParallel shard platforms created afterwards; a CLI
-// installs them once (mirroring netback.SetDefaultFaults) so experiments
-// that build their own platforms inherit the flags.
-var (
-	defaultPCPUs    = 1
-	defaultParallel bool
-	defaultAdaptive = true
-	defaultBusyCap  int
-	defaultQuietCap int
-)
-
-// SetDefaultSharding makes subsequent NewPlatform calls shard the event
-// queue across pcpus per-pCPU kernels (plus the dom0 shard); parallel
-// drives the shards on OS threads, otherwise they interleave on one thread
-// with byte-identical results. pcpus <= 1 restores the classic single
-// kernel.
-func SetDefaultSharding(pcpus int, parallel bool) {
-	defaultPCPUs = pcpus
-	defaultParallel = parallel
+// RunConfig is everything about a run that is not the workload itself:
+// how the event queue is sharded and driven, how the bridges impair
+// frames, and where traces and metrics go. It travels as an argument —
+// NewPlatform hands each part to the constructor that needs it — so runs
+// with different configurations can share a process. The zero value is
+// the classic run: one kernel, no faults, a fresh disabled tracer and a
+// fresh registry.
+type RunConfig struct {
+	// PCPUs > 1 shards the event queue across that many per-pCPU kernels
+	// (plus the dom0 shard); the host then has max(PCPUs, 4) pCPUs.
+	PCPUs int
+	// Parallel drives the shards on OS threads instead of interleaving
+	// them on one; output is byte-identical either way.
+	Parallel bool
+	// StaticEpochs turns the adaptive width controller off, so every
+	// epoch is one lookahead wide (sim.Cluster.SetAdaptive(false)).
+	StaticEpochs bool
+	// Faults is the impairment model every host bridge starts with.
+	Faults netback.Faults
+	// Trace and Metrics are shared by every kernel the run creates, so
+	// one trace file and one registry cover it end to end (nil = fresh
+	// per kernel, see sim.Obs).
+	Trace   *obs.Tracer
+	Metrics *obs.Registry
 }
 
-// SetAdaptiveLookahead configures the width controller of clusters created
-// by subsequent NewPlatform calls: on selects adaptive epoch widths
-// (default), busyCap/quietCap override the width caps (0 keeps the sim
-// package defaults).
-func SetAdaptiveLookahead(on bool, busyCap, quietCap int) {
-	defaultAdaptive = on
-	defaultBusyCap = busyCap
-	defaultQuietCap = quietCap
+// Obs is the part of the configuration a bare sim kernel attaches to.
+func (c RunConfig) Obs() sim.Obs { return sim.Obs{Trace: c.Trace, Metrics: c.Metrics} }
+
+// defaultRun is what NewPlatform uses when given no RunConfig.
+var defaultRun RunConfig
+
+// SetDefaultSharding sets the sharding NewPlatform uses when called
+// without a RunConfig. It exists only for the benchmark driver under
+// perfbench/, which predates RunConfig; code in this module passes a
+// RunConfig instead.
+func SetDefaultSharding(pcpus int, parallel bool) {
+	defaultRun = RunConfig{PCPUs: pcpus, Parallel: parallel}
 }
 
 // NewPlatform creates a host (with 4 physical CPUs for guests) and its
-// control domain. Under sharding the cluster's lookahead is the bridge
-// propagation latency: it is the minimum delay on every cross-shard path
-// (frames in either direction traverse the bridge), so conservative epochs
-// of that width cannot miss a cross-shard event.
-func NewPlatform(seed int64) *Platform {
+// control domain under the optional RunConfig; without one it uses the
+// configuration SetDefaultSharding last set (the zero RunConfig unless it
+// was called). Under sharding the
+// cluster's lookahead is the bridge propagation latency: it is the
+// minimum delay on every cross-shard path (frames in either direction
+// traverse the bridge), so conservative epochs of that width cannot miss a
+// cross-shard event.
+func NewPlatform(seed int64, cfg ...RunConfig) *Platform {
+	rc := defaultRun
+	if len(cfg) > 0 {
+		rc = cfg[0]
+	}
 	var k *sim.Kernel
 	var cluster *sim.Cluster
 	npcpus := 4
-	if defaultPCPUs > 1 {
-		cluster = sim.NewCluster(seed, defaultPCPUs+1, netback.DefaultParams().Propagation)
-		cluster.SetParallel(defaultParallel)
-		cluster.SetAdaptive(defaultAdaptive)
-		cluster.SetWidthCaps(defaultBusyCap, defaultQuietCap)
+	if rc.PCPUs > 1 {
+		cluster = sim.NewCluster(seed, rc.PCPUs+1, netback.DefaultParams().Propagation, rc.Obs())
+		cluster.SetParallel(rc.Parallel)
+		cluster.SetAdaptive(!rc.StaticEpochs)
 		k = cluster.Kernel(0)
-		if defaultPCPUs > npcpus {
-			npcpus = defaultPCPUs
+		if rc.PCPUs > npcpus {
+			npcpus = rc.PCPUs
 		}
 	} else {
-		k = sim.NewKernel(seed)
+		k = sim.NewKernel(seed, rc.Obs())
 	}
-	pl := &Platform{K: k, Cluster: cluster, npcpus: npcpus}
+	pl := &Platform{K: k, Cluster: cluster, npcpus: npcpus, faults: rc.Faults}
 	// The first host keeps the historical unprefixed process, signal and
 	// CPU names so single-host runs stay byte-identical with earlier
 	// versions of this package.
@@ -169,7 +190,7 @@ func (pl *Platform) addSite(name, prefix string, npcpus int) *Site {
 	k := pl.K
 	s := &Site{Name: name, Index: len(pl.sites)}
 	s.Host = hypervisor.NewHostNamed(k, npcpus, prefix)
-	s.Bridge = netback.NewBridgeNamed(k, netback.DefaultParams(), prefix)
+	s.Bridge = netback.NewBridgeNamed(k, netback.DefaultParams(), prefix, pl.faults)
 	s.SSD = blkback.NewSSDNamed(k, blkback.DefaultSSDParams(), prefix)
 	s.Store = xenstore.New()
 	sigName, initName, dom0Name := "dom0-ready", "dom0-init", "dom0"

@@ -12,7 +12,6 @@ import (
 	"repro/internal/lwt"
 	"repro/internal/netstack"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // obsWorkload runs a small two-guest UDP echo exchange under a fresh tracer
@@ -22,10 +21,8 @@ func obsWorkload(t *testing.T, seed int64) (traceJSON []byte, metrics string) {
 	tr := obs.NewTracer(obs.DefaultCap)
 	tr.Enable()
 	reg := obs.NewRegistry()
-	sim.SetDefaultObs(tr, reg)
-	defer sim.SetDefaultObs(nil, nil)
 
-	pl := NewPlatform(seed)
+	pl := NewPlatform(seed, RunConfig{Trace: tr, Metrics: reg})
 	pl.Deploy(Unikernel{
 		Build: build.Config{Name: "udp-echo", Roots: []string{"udp"}},
 		Main: func(env *Env) int {

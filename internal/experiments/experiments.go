@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"repro/internal/bench"
+	"repro/internal/core"
 )
 
 // Options carries the CLI knobs an experiment may honour. Zero values mean
@@ -39,6 +40,12 @@ type Options struct {
 	// numbers are host-dependent: default output stays byte-comparable
 	// across machines and serial/parallel runs.
 	MemStats bool
+
+	// Run is how the experiment's kernels and platforms are built:
+	// sharding, bridge faults, tracer and registry. It is not a
+	// per-experiment knob, so it has no entry in the params table; each
+	// CLI fills it from its own flags.
+	Run core.RunConfig
 }
 
 // Output is one experiment's product: structured results (what -json

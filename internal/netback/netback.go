@@ -118,15 +118,6 @@ func (f Faults) enabled() bool {
 	return f.Drop > 0 || f.Dup > 0 || f.Reorder > 0 || f.Jitter > 0
 }
 
-// defaultFaults is the impairment applied to bridges created afterwards;
-// a CLI installs it once (mirroring sim.SetDefaultObs) so experiments that
-// build their own platforms inherit the flags.
-var defaultFaults Faults
-
-// SetDefaultFaults installs the impairment model that subsequent NewBridge
-// calls start with.
-func SetDefaultFaults(f Faults) { defaultFaults = f }
-
 // Bridge is the dom0 software bridge.
 type Bridge struct {
 	K      *sim.Kernel
@@ -166,12 +157,14 @@ type Bridge struct {
 	mxBatchRx      *obs.Histogram // RX responses published per notification
 }
 
-// NewBridge creates a bridge with its own backend CPU and link resources.
-func NewBridge(k *sim.Kernel, params Params) *Bridge { return NewBridgeNamed(k, params, "") }
+// NewBridge creates a fault-free bridge with its own backend CPU and link
+// resources.
+func NewBridge(k *sim.Kernel, params Params) *Bridge { return NewBridgeNamed(k, params, "", Faults{}) }
 
 // NewBridgeNamed is NewBridge with a CPU-name prefix for multi-host
-// platforms; an empty prefix keeps the historical single-host names.
-func NewBridgeNamed(k *sim.Kernel, params Params, prefix string) *Bridge {
+// platforms (an empty prefix keeps the historical single-host names) and
+// the bridge-wide impairment model it starts with.
+func NewBridgeNamed(k *sim.Kernel, params Params, prefix string, faults Faults) *Bridge {
 	cpuName, wireName := "dom0-netback", "bridge-link"
 	if prefix != "" {
 		cpuName, wireName = prefix+"-netback", prefix+"-link"
@@ -190,7 +183,7 @@ func NewBridgeNamed(k *sim.Kernel, params Params, prefix string) *Bridge {
 		Params:         params,
 		endpoints:      map[MAC]Endpoint{},
 		down:           map[MAC]bool{},
-		faults:         defaultFaults,
+		faults:         faults,
 		epFaults:       map[MAC]Faults{},
 		pool:           pool,
 		mxForwarded:    m.Counter("bridge_frames_total", obs.L("kind", "forwarded")),

@@ -1,7 +1,8 @@
 // Conservative parallel simulation: a Cluster is a set of shard kernels,
 // one per simulated pCPU plus one for the host/dom0 side, advanced in
 // lockstep epochs. Within an epoch every shard drains its own event queue
-// independently (optionally on its own OS thread); all cross-shard
+// independently (the host shard first, then the pCPU shards, optionally
+// each on its own OS thread); all cross-shard
 // interaction travels as timestamped sends into the destination shard's
 // mailbox with a delay of at least the cluster lookahead W — the minimum
 // cross-pCPU event latency (bridge propagation, vchan/event-channel hops).
@@ -44,12 +45,12 @@
 // byte-identical:
 //
 //   - every epoch that drained cross-shard sends doubles the width up to
-//     busyCap·W (traffic is when batching pays: concurrent request chains
+//     DefaultBusyCap·W (traffic is when batching pays: concurrent request chains
 //     share the epoch's rounds), and an epoch that meets traffic at a
-//     quiet-stretch width above that clamps straight back to busyCap·W;
+//     quiet-stretch width above that clamps straight back to DefaultBusyCap·W;
 //   - after quietThreshold consecutive epochs drained nothing (and any
 //     netback HoldWide hint has expired), the width doubles each epoch up
-//     to quietCap·W — idle stretches cost a handful of barriers instead of
+//     to DefaultQuietCap·W — idle stretches cost a handful of barriers instead of
 //     one per W.
 //
 // Widths beyond W trade bounded timeliness for rendezvous count: a send
@@ -114,8 +115,6 @@ type Cluster struct {
 	adaptive bool
 	mult     Time // current epoch width multiplier (1 = static W)
 	quietRun int  // consecutive barriers that drained zero sends
-	busyCap  Time
-	quietCap Time
 	holdWide Time // do not widen before this instant (netback traffic hint)
 	horizon  Time // last adaptive epoch's window end (monotone)
 
@@ -149,11 +148,12 @@ type Cluster struct {
 // NewCluster creates shards kernels sharing one virtual timeline, with
 // cross-shard lookahead w (must be positive). Shard 0 is the host/dom0
 // shard and keeps the raw seed so single-shard behavior matches a plain
-// kernel; other shards derive their RNG seed deterministically. All shards
-// share shard 0's metrics registry and trace timeline (per-shard trace
-// buffers merged at export). Adaptive epoch widths are on by default;
+// kernel; other shards derive their RNG seed deterministically. Shard 0
+// attaches to the optional Obs exactly as NewKernel does, and all shards
+// share its metrics registry and trace timeline (per-shard trace buffers
+// merged at export). Adaptive epoch widths are on by default;
 // SetAdaptive(false) restores the static-W schedule.
-func NewCluster(seed int64, shards int, w time.Duration) *Cluster {
+func NewCluster(seed int64, shards int, w time.Duration, o ...Obs) *Cluster {
 	if shards < 1 {
 		shards = 1
 	}
@@ -165,10 +165,8 @@ func NewCluster(seed int64, shards int, w time.Duration) *Cluster {
 		windows:  make([]Time, shards),
 		adaptive: true,
 		mult:     1,
-		busyCap:  DefaultBusyCap,
-		quietCap: DefaultQuietCap,
 	}
-	k0 := NewKernel(seed)
+	k0 := NewKernel(seed, o...)
 	k0.cluster = c
 	c.kernels = append(c.kernels, k0)
 	for i := 1; i < shards; i++ {
@@ -220,18 +218,6 @@ func (c *Cluster) SetAdaptive(on bool) {
 
 // Adaptive reports whether the width controller is enabled.
 func (c *Cluster) Adaptive() bool { return c.adaptive }
-
-// SetWidthCaps bounds the adaptive epoch width: busy·W while cross-shard
-// traffic is flowing, quiet·W during quiet stretches. Values below 1 are
-// ignored. Call before Run.
-func (c *Cluster) SetWidthCaps(busy, quiet int) {
-	if busy >= 1 {
-		c.busyCap = Time(busy)
-	}
-	if quiet >= 1 {
-		c.quietCap = Time(quiet)
-	}
-}
 
 // WidthMult returns the current epoch width multiplier. Meaningful between
 // Run calls (the controller owns it at barriers).
@@ -405,17 +391,17 @@ func (c *Cluster) updateWidth(drained int, T Time) {
 	prev := c.mult
 	if drained > 0 {
 		c.quietRun = 0
-		if c.mult > c.busyCap {
+		if c.mult > DefaultBusyCap {
 			// A quiet-stretch width met live traffic: clamp straight back
 			// to the busy regime.
-			c.mult = c.busyCap
-		} else if c.mult < c.busyCap {
+			c.mult = DefaultBusyCap
+		} else if c.mult < DefaultBusyCap {
 			// Traffic is exactly when batching pays: each barrier already
-			// costs a rendezvous, so widen immediately (up to busyCap) and
+			// costs a rendezvous, so widen immediately (up to DefaultBusyCap) and
 			// let concurrent request chains share the next one.
 			c.mult *= 2
-			if c.mult > c.busyCap {
-				c.mult = c.busyCap
+			if c.mult > DefaultBusyCap {
+				c.mult = DefaultBusyCap
 			}
 		}
 	} else {
@@ -423,10 +409,10 @@ func (c *Cluster) updateWidth(drained int, T Time) {
 		c.xmu.Lock()
 		hold := c.holdWide
 		c.xmu.Unlock()
-		if c.quietRun >= quietThreshold && T > hold && c.mult < c.quietCap {
+		if c.quietRun >= quietThreshold && T > hold && c.mult < DefaultQuietCap {
 			c.mult *= 2
-			if c.mult > c.quietCap {
-				c.mult = c.quietCap
+			if c.mult > DefaultQuietCap {
+				c.mult = DefaultQuietCap
 			}
 		}
 	}
@@ -443,12 +429,23 @@ func (c *Cluster) updateWidth(drained int, T Time) {
 // runGranted executes every shard whose windows entry is nonzero, on the
 // worker threads (parallel) or inline (serial), and re-raises any shard
 // panic deterministically.
+//
+// Shard 0 always runs its window before any other shard starts, on both
+// drivers. It hosts the host-side control code (the fleet's SLO watchdog,
+// autoscaler and load balancer), which reads state that guest shards
+// write, such as replica latency histograms. Running it first gives it the
+// same view on the parallel driver as on the serial one; overlapping it
+// with the guest shards made those reads depend on thread timing.
 func (c *Cluster) runGranted() {
 	n := len(c.kernels)
 	if c.parallel {
-		// Workers pick up shards 1..n-1; shard 0's window runs here on
-		// the coordinating thread. Only shards with runnable windows
-		// are woken (elided and idle shards stay parked).
+		// Shard 0's window runs here on the coordinating thread, then
+		// workers pick up shards 1..n-1 concurrently. Only shards with
+		// runnable windows are woken (elided and idle shards stay
+		// parked).
+		if c.windows[0] != 0 {
+			c.kernels[0].safeWindow(c.windows[0])
+		}
 		act := int32(0)
 		for i := 1; i < n; i++ {
 			if c.windows[i] != 0 {
@@ -462,11 +459,6 @@ func (c *Cluster) runGranted() {
 					c.grants[i] <- w
 				}
 			}
-		}
-		if c.windows[0] != 0 {
-			c.kernels[0].safeWindow(c.windows[0])
-		}
-		if act > 0 {
 			<-c.done
 		}
 	} else {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,10 +25,8 @@ func clusterRunShards(t *testing.T, parallel bool, shards int) (string, Time, st
 	tr := obs.NewTracer(obs.DefaultCap)
 	tr.Enable()
 	reg := obs.NewRegistry()
-	SetDefaultObs(tr, reg)
-	defer SetDefaultObs(nil, nil)
 
-	c := NewCluster(7, shards, 10*time.Microsecond)
+	c := NewCluster(7, shards, 10*time.Microsecond, Obs{Trace: tr, Metrics: reg})
 	c.SetParallel(parallel)
 	logs := make([][]string, shards)
 	for i := 0; i < shards; i++ {
@@ -88,6 +87,44 @@ func TestParallelByteIdentity(t *testing.T) {
 		os.WriteFile("/tmp/sim_trace_serial.json", []byte(sTr), 0o644)
 		os.WriteFile("/tmp/sim_trace_parallel.json", []byte(pTr), 0o644)
 		t.Errorf("traces differ (serial %d bytes, parallel %d bytes)", len(sTr), len(pTr))
+	}
+}
+
+// TestParallelHostShardRunsFirst pins the order the parallel driver keeps
+// within a round: shard 0's window completes before any other shard's
+// starts, as on the serial driver. Host-side control code on shard 0 reads
+// state guest shards write (the fleet's SLO watchdog reads replica latency
+// histograms), so overlapping the two made those reads depend on thread
+// timing.
+func TestParallelHostShardRunsFirst(t *testing.T) {
+	run := func(parallel bool) string {
+		c := NewCluster(23, 3, 10*time.Microsecond)
+		c.SetParallel(parallel)
+		var written atomic.Int64 // guest-side state the host side samples
+		k0, k1 := c.Kernel(0), c.Kernel(1)
+		k1.Spawn("guest-writer", func(p *Proc) {
+			for i := 0; i < 4000; i++ {
+				p.Sleep(time.Microsecond)
+				written.Add(1)
+			}
+		})
+		var seen []int64
+		k0.Spawn("host-reader", func(p *Proc) {
+			for i := 0; i < 80; i++ {
+				p.Sleep(50 * time.Microsecond)
+				seen = append(seen, written.Load())
+			}
+		})
+		if _, err := c.Run(); err != nil {
+			t.Fatalf("parallel=%v: %v", parallel, err)
+		}
+		return fmt.Sprint(seen)
+	}
+	want := run(false)
+	for i := 0; i < 5; i++ {
+		if got := run(true); got != want {
+			t.Fatalf("parallel run %d: host shard saw guest state\n%s\nserial saw\n%s", i, got, want)
+		}
 	}
 }
 
@@ -217,9 +254,7 @@ func TestParallelStopMidRun(t *testing.T) {
 
 func TestEventCancel(t *testing.T) {
 	reg := obs.NewRegistry()
-	SetDefaultObs(nil, reg)
-	defer SetDefaultObs(nil, nil)
-	k := NewKernel(1)
+	k := NewKernel(1, Obs{Metrics: reg})
 	fired := 0
 	ev := k.After(time.Millisecond, func() { fired++ })
 	if !ev.Pending() {
@@ -300,33 +335,32 @@ func TestAdaptiveByteIdentityShardCounts(t *testing.T) {
 }
 
 // TestAdaptiveWidthRampAndClamp drives the width controller through both
-// regimes: a quiet stretch of local-only timers must widen the epochs past
-// the busy cap, and a cross-shard burst mid-run must clamp them straight
-// back to it.
+// regimes at the default caps: a quiet stretch of local-only timers long
+// enough to widen the epochs past DefaultBusyCap, then a cross-shard burst
+// mid-run that must clamp them straight back to it.
 func TestAdaptiveWidthRampAndClamp(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
 		reg := obs.NewRegistry()
-		SetDefaultObs(nil, reg)
-		c := NewCluster(11, 2, 10*time.Microsecond)
+		c := NewCluster(11, 2, 10*time.Microsecond, Obs{Metrics: reg})
 		c.SetParallel(parallel)
-		c.SetWidthCaps(4, 32)
 		k0, k1 := c.Kernel(0), c.Kernel(1)
 
+		const quietTicks = 500
 		ticks := 0
 		k1.Spawn("local-ticker", func(p *Proc) {
-			for i := 0; i < 100; i++ {
+			for i := 0; i < quietTicks; i++ {
 				p.Sleep(20 * time.Microsecond)
 				ticks++
 			}
 		})
-		if _, err := c.RunFor(2001 * time.Microsecond); err != nil {
+		if _, err := c.RunFor(quietTicks*20*time.Microsecond + time.Microsecond); err != nil {
 			t.Fatalf("parallel=%v: quiet leg: %v", parallel, err)
 		}
-		if ticks != 100 {
-			t.Errorf("parallel=%v: %d local ticks, want 100", parallel, ticks)
+		if ticks != quietTicks {
+			t.Errorf("parallel=%v: %d local ticks, want %d", parallel, ticks, quietTicks)
 		}
-		if m := c.WidthMult(); m <= 4 {
-			t.Errorf("parallel=%v: width mult %d after quiet stretch, want > busy cap 4", parallel, m)
+		if m := c.WidthMult(); m <= DefaultBusyCap {
+			t.Errorf("parallel=%v: width mult %d after quiet stretch, want > busy cap %d", parallel, m, DefaultBusyCap)
 		}
 		if w := reg.Counter("sim_cluster_width_widenings_total").Value(); w == 0 {
 			t.Errorf("parallel=%v: no widenings recorded over a quiet stretch", parallel)
@@ -348,13 +382,12 @@ func TestAdaptiveWidthRampAndClamp(t *testing.T) {
 		if delivered == 0 || delivered >= 200 {
 			t.Errorf("parallel=%v: %d cross-shard sends delivered at the limit, want mid-burst", parallel, delivered)
 		}
-		if m := c.WidthMult(); m != 4 {
-			t.Errorf("parallel=%v: width mult %d after burst, want clamp to busy cap 4", parallel, m)
+		if m := c.WidthMult(); m != DefaultBusyCap {
+			t.Errorf("parallel=%v: width mult %d after burst, want clamp to busy cap %d", parallel, m, DefaultBusyCap)
 		}
 		if cl := reg.Counter("sim_cluster_width_clamps_total").Value(); cl == 0 {
 			t.Errorf("parallel=%v: no clamps recorded across a quiet->traffic transition", parallel)
 		}
-		SetDefaultObs(nil, nil)
 	}
 }
 
@@ -366,8 +399,7 @@ func TestAdaptiveWidthRampAndClamp(t *testing.T) {
 func TestAdaptiveElisionTimerPastHorizon(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
 		reg := obs.NewRegistry()
-		SetDefaultObs(nil, reg)
-		c := NewCluster(3, 3, 10*time.Microsecond)
+		c := NewCluster(3, 3, 10*time.Microsecond, Obs{Metrics: reg})
 		c.SetParallel(parallel)
 
 		k1, k2 := c.Kernel(1), c.Kernel(2)
@@ -388,7 +420,6 @@ func TestAdaptiveElisionTimerPastHorizon(t *testing.T) {
 		if el := reg.Counter("sim_cluster_barriers_elided_total").Value(); el == 0 {
 			t.Errorf("parallel=%v: quiet shard was never elided from a barrier", parallel)
 		}
-		SetDefaultObs(nil, nil)
 	}
 }
 
@@ -440,9 +471,7 @@ func TestAdaptiveStopAtInsideWidenedEpoch(t *testing.T) {
 // sim_cluster_mailbox_reuse_total.
 func TestMailboxSliceReuse(t *testing.T) {
 	reg := obs.NewRegistry()
-	SetDefaultObs(nil, reg)
-	defer SetDefaultObs(nil, nil)
-	c := NewCluster(17, 2, 10*time.Microsecond)
+	c := NewCluster(17, 2, 10*time.Microsecond, Obs{Metrics: reg})
 	k0 := c.Kernel(0)
 	k1 := c.Kernel(1)
 	k0.Spawn("sender", func(p *Proc) {
@@ -468,9 +497,7 @@ func TestStaticScheduleConservative(t *testing.T) {
 		tr := obs.NewTracer(obs.DefaultCap)
 		tr.Enable()
 		reg := obs.NewRegistry()
-		SetDefaultObs(tr, reg)
-		defer SetDefaultObs(nil, nil)
-		c := NewCluster(19, 3, 10*time.Microsecond)
+		c := NewCluster(19, 3, 10*time.Microsecond, Obs{Trace: tr, Metrics: reg})
 		c.SetParallel(parallel)
 		c.SetAdaptive(false)
 		for i := 0; i < 3; i++ {

@@ -172,30 +172,28 @@ type Kernel struct {
 	xseq    uint64  // outgoing cross-shard send sequence
 }
 
-// Package-level observability defaults: a CLI (or test) installs a shared
-// tracer/registry once and every kernel created afterwards attaches to
-// them, so multi-kernel runs land on one timeline and one metric space.
-var (
-	defaultTrace   *obs.Tracer
-	defaultMetrics *obs.Registry
-)
-
-// SetDefaultObs installs the tracer and registry that subsequent NewKernel
-// calls attach to. Either may be nil (fresh disabled tracer / fresh
-// registry per kernel).
-func SetDefaultObs(t *obs.Tracer, m *obs.Registry) {
-	defaultTrace = t
-	defaultMetrics = m
+// Obs is the observability a kernel attaches to. Kernels given the same
+// Obs land on one trace timeline and one metric space, so a run that
+// builds several kernels is covered end to end. A nil Trace gives the
+// kernel a fresh disabled tracer; a nil Metrics, a fresh registry.
+type Obs struct {
+	Trace   *obs.Tracer
+	Metrics *obs.Registry
 }
 
-// NewKernel returns a kernel with virtual time 0 and an RNG seeded with seed.
-func NewKernel(seed int64) *Kernel {
+// NewKernel returns a kernel with virtual time 0 and an RNG seeded with
+// seed, attached to the optional Obs (the zero Obs when none is given).
+func NewKernel(seed int64, o ...Obs) *Kernel {
+	var ko Obs
+	if len(o) > 0 {
+		ko = o[0]
+	}
 	k := &Kernel{
 		rng:     rand.New(rand.NewSource(seed)),
 		live:    map[*Proc]struct{}{},
 		parked:  make(chan *Proc),
-		trace:   defaultTrace,
-		metrics: defaultMetrics,
+		trace:   ko.Trace,
+		metrics: ko.Metrics,
 	}
 	if k.trace == nil {
 		k.trace = obs.NewTracer(0)

@@ -106,10 +106,8 @@ func TestKernelTraceAndMetricsDeterministic(t *testing.T) {
 		tr := obs.NewTracer(obs.DefaultCap)
 		tr.Enable()
 		reg := obs.NewRegistry()
-		SetDefaultObs(tr, reg)
-		defer SetDefaultObs(nil, nil)
 
-		k := NewKernel(7)
+		k := NewKernel(7, Obs{Trace: tr, Metrics: reg})
 		cpu := k.NewCPU("pcpu0")
 		for _, name := range []string{"a", "b", "c"} {
 			k.Spawn(name, func(p *Proc) {

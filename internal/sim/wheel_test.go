@@ -94,9 +94,7 @@ func TestWheelLateness(t *testing.T) {
 // hierarchy (cascade counter moves) and still fire exactly once.
 func TestWheelCascade(t *testing.T) {
 	reg := obs.NewRegistry()
-	SetDefaultObs(nil, reg)
-	defer SetDefaultObs(nil, nil)
-	k := NewKernel(3)
+	k := NewKernel(3, Obs{Metrics: reg})
 	w := k.Wheel()
 	fired := 0
 	tm := &Timer{}
@@ -222,10 +220,8 @@ func TestWheelHeapPopulation(t *testing.T) {
 func wheelClusterRun(t *testing.T, parallel bool) (string, string) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	SetDefaultObs(nil, reg)
-	defer SetDefaultObs(nil, nil)
 	const shards = 4
-	c := NewCluster(13, shards, 10*time.Microsecond)
+	c := NewCluster(13, shards, 10*time.Microsecond, Obs{Metrics: reg})
 	c.SetParallel(parallel)
 	logs := make([][]string, shards)
 	for i := 0; i < shards; i++ {
