@@ -25,10 +25,12 @@ staticcheck:
 	fi
 
 # Dead-code gate: every package under internal/ needs a non-test importer
-# (in this module or the benchmark driver's), and no process-wide
-# run-default setter may come back — runs are configured by passing a
-# core.RunConfig. The one exception is core.SetDefaultSharding, kept only
-# for the benchmark driver under perfbench/.
+# (in this module or the benchmark driver's), no process-wide run-default
+# setter may come back — runs are configured by passing a core.RunConfig —
+# and every exported function or method needs a referencing identifier
+# somewhere in the module or perfbench/ (TestNoUncalledExports). The one
+# setter exception is core.SetDefaultSharding, kept only for the benchmark
+# driver under perfbench/.
 deadcode-check:
 	@fail=0; \
 	imports=$$( { $(GO) list -f '{{join .Imports "\n"}}' ./... && \
@@ -43,6 +45,7 @@ deadcode-check:
 		echo "deadcode: process-wide run-default setters (pass a core.RunConfig instead):"; \
 		echo "$$setters"; fail=1; \
 	fi; \
+	$(GO) test -count=1 -run '^TestNoUncalledExports$$' . >/dev/null || { echo "deadcode: uncalled exports (go test -run TestNoUncalledExports .)"; fail=1; }; \
 	[ $$fail -eq 0 ] && echo "deadcode-check OK"; exit $$fail
 
 build:
@@ -115,10 +118,12 @@ benchdelta: build
 #    rendezvous count creeping up more than 10% fails CI; the wall times
 #    stay host-dependent and ride along unchanged in the self-copy
 #  - connsweep: full sweep is minutes of wall clock and its heap numbers are
-#    host-dependent, so the committed file is self-delta'd as a format gate;
-#    the deterministic quick sweep is exercised by the connsweep target
+#    host-dependent, so BENCH_connsweep.json is self-delta'd as a format
+#    gate; the quick sweep is deterministic (event-queue and wheel
+#    populations, probe latency, connection counts), so it is re-run and
+#    diffed against BENCH_connsweep_quick.json
 benchdelta-all: benchdelta
-	@rm -f /tmp/bench_scalesweep_new.json /tmp/bench_racksweep_new.json /tmp/bench_parallel_new.json
+	@rm -f /tmp/bench_scalesweep_new.json /tmp/bench_racksweep_new.json /tmp/bench_parallel_new.json /tmp/bench_connsweep_quick_new.json
 	$(GO) build -o /tmp/repro-bench ./cmd/repro
 	/tmp/repro-bench -experiment scalesweep -json /tmp/bench_scalesweep_new.json > /dev/null
 	$(GO) run ./cmd/benchjson -delta BENCH_scalesweep.json /tmp/bench_scalesweep_new.json
@@ -128,6 +133,8 @@ benchdelta-all: benchdelta
 	$(GO) run ./cmd/parallelsweep -counters-only -out /tmp/bench_parallel_new.json 2> /dev/null
 	$(GO) run ./cmd/benchjson -delta BENCH_parallel.json /tmp/bench_parallel_new.json
 	$(GO) run ./cmd/benchjson -delta BENCH_connsweep.json BENCH_connsweep.json
+	/tmp/repro-bench -experiment connsweep -quick -json /tmp/bench_connsweep_quick_new.json > /dev/null
+	$(GO) run ./cmd/benchjson -delta BENCH_connsweep_quick.json /tmp/bench_connsweep_quick_new.json
 	@rm -f /tmp/bench_kvsweep_new.json
 	/tmp/repro-bench -experiment kvsweep -json /tmp/bench_kvsweep_new.json > /dev/null
 	$(GO) run ./cmd/benchjson -delta BENCH_kvsweep.json /tmp/bench_kvsweep_new.json
@@ -160,14 +167,15 @@ kvsweep: build
 	cmp /tmp/kvsweep.1 /tmp/kvsweep.2
 	@echo "kvsweep deterministic: same-seed runs byte-identical; JSON in BENCH_kvsweep.json"
 
-# Million-connection population sweep, small-N gate: runs the quick sweep
-# twice on the same seed and asserts the rendered output is byte-identical.
+# Million-connection population sweep, small-N gate -> BENCH_connsweep_quick.json;
+# runs the quick sweep twice on the same seed and asserts the rendered
+# output is byte-identical.
 connsweep: build
 	@$(GO) build -o /tmp/repro-conn ./cmd/repro
-	/tmp/repro-conn -experiment connsweep -quick > /tmp/connsweep.1
+	/tmp/repro-conn -experiment connsweep -quick -json BENCH_connsweep_quick.json > /tmp/connsweep.1
 	/tmp/repro-conn -experiment connsweep -quick > /tmp/connsweep.2
 	cmp /tmp/connsweep.1 /tmp/connsweep.2
-	@echo "connsweep deterministic: same-seed quick runs byte-identical"
+	@echo "connsweep deterministic: same-seed quick runs byte-identical; JSON in BENCH_connsweep_quick.json"
 
 # Regenerate BENCH_parallel.json: scalesweep wall clock under the three
 # drivers (medians over 4 runs each; host-dependent — the honest 1-core

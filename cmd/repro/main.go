@@ -1,6 +1,6 @@
 // Command repro runs the paper's experiments and prints each table and
-// figure in text form. The experiment catalogue lives in
-// internal/experiments and is shared with `mirage experiment`.
+// figure in text form. It is the one experiment CLI; the catalogue lives
+// in internal/experiments.
 //
 // Usage:
 //

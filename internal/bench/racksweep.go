@@ -112,7 +112,11 @@ func RackSweep(rc core.RunConfig, seed int64, quick bool) *Result {
 	pl.K.After(tMig, func() {
 		pl.K.Spawn("migrator", func(p *sim.Proc) {
 			r := f.ReplicaByName("web-0")
-			if r == nil || r.Host() != "h1" {
+			if r == nil {
+				migErr = fmt.Errorf("racksweep: no replica web-0 to migrate")
+				return
+			}
+			if r.Host() != "h1" {
 				migErr = fmt.Errorf("racksweep: web-0 not on h1 before migration (host %q)", r.Host())
 				return
 			}

@@ -53,8 +53,7 @@ type Blkif struct {
 	inflight map[uint16]*devop
 	// staged holds requests plugged in the current instant, merged into
 	// devops at unplug time.
-	staged    []*op
-	plugDepth int
+	staged []*op
 	// queue holds merged devops waiting for ring slots.
 	queue []*devop
 	// unplugPending/flushPending defer merge and ring publish + notify to
@@ -171,23 +170,6 @@ func (b *Blkif) Write(sector uint64, data []byte) *lwt.Promise[*cstruct.View] {
 	return b.submit(true, sector, sectors, data)
 }
 
-// Plug widens the merge window: staged requests are held (and keep
-// accumulating merge candidates) until the matching Unplug, like the guest
-// block layer's plug/unplug batching. Plug/Unplug pairs nest.
-func (b *Blkif) Plug() { b.plugDepth++ }
-
-// Unplug closes a Plug window; the outermost Unplug merges and issues the
-// staged requests immediately.
-func (b *Blkif) Unplug() {
-	if b.plugDepth == 0 {
-		panic("blkif: Unplug without Plug")
-	}
-	b.plugDepth--
-	if b.plugDepth == 0 {
-		b.unplug()
-	}
-}
-
 func (b *Blkif) submit(write bool, sector uint64, sectors int, data []byte) *lwt.Promise[*cstruct.View] {
 	pr := lwt.NewPromise[*cstruct.View](b.vm.S)
 	if sectors <= 0 || sectors > SectorsPerPage {
@@ -215,18 +197,16 @@ func (b *Blkif) submit(write bool, sector uint64, sectors int, data []byte) *lwt
 }
 
 // scheduleUnplug arranges an automatic unplug at the end of the current
-// instant, so same-instant bursts merge without explicit Plug/Unplug.
+// instant, so same-instant bursts merge into one pass.
 func (b *Blkif) scheduleUnplug() {
-	if b.unplugPending || b.plugDepth > 0 {
+	if b.unplugPending {
 		return
 	}
 	b.unplugPending = true
 	k := b.vm.S.K
 	k.At(k.Now(), func() {
 		b.unplugPending = false
-		if b.plugDepth == 0 {
-			b.unplug()
-		}
+		b.unplug()
 	})
 }
 

@@ -63,9 +63,6 @@ func NewPool(size int) *Pool {
 // Call during setup, before the pool is used.
 func (p *Pool) Share() { p.shared = true }
 
-// BufSize returns the fixed capacity of this pool's buffers.
-func (p *Pool) BufSize() int { return p.size }
-
 // InUse returns how many buffers are currently live (referenced by at
 // least one holder). A quiesced system should report zero — anything else
 // is a leak.
@@ -127,9 +124,6 @@ func (b *Buf) Bytes() []byte { return b.data[:b.n] }
 
 // Len returns the logical length.
 func (b *Buf) Len() int { return b.n }
-
-// Cap returns the buffer capacity.
-func (b *Buf) Cap() int { return len(b.data) }
 
 // Extend grows the logical length by n and returns the newly exposed
 // region for the caller to fill in place (e.g. a grant copy target).

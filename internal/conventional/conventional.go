@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/mem"
-	"repro/internal/netstack"
 	"repro/internal/sim"
 )
 
@@ -174,20 +173,6 @@ func JitterSample(p OSParams, rng interface{ Float64() float64 }) time.Duration 
 }
 
 // --- Network stack profiles (Figure 8, §4.1.3) ---
-
-// LinuxNetParams are the per-packet/per-KB costs of the Linux 3.7 stack
-// with all hardware offload disabled. The Linux receive path pays a
-// kernel-to-userspace copy the unikernel does not (Fig 8: Linux-to-Mirage
-// receive throughput is higher than Linux-to-Linux); the Linux transmit
-// path is cheaper than OCaml's (Mirage-to-Linux is lower).
-func LinuxNetParams() netstack.Params {
-	return netstack.Params{
-		RxCost: 600 * time.Nanosecond,
-		TxCost: 600 * time.Nanosecond,
-		// Per-KB costs are configured by the Figure 8 harness via
-		// PerKB fields below.
-	}
-}
 
 // NetProfile extends the stack params with per-KB stream costs for the
 // iperf experiment.

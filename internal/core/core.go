@@ -58,15 +58,12 @@ type Platform struct {
 	sites       []*Site
 	npcpus      int
 	faults      netback.Faults // every host bridge starts with these
-	spread      int            // round-robin cursor for AffinitySpread
 	deployments []*Deployment
 }
 
 // Site is one physical host of the platform: the typed "device home" every
 // deployment resolves against. Each site owns its own bridge (and so its
-// own wire-cost domain), SSD, xenstore and control domain, plus a /24
-// subnet carved from 10.0.0.0/16 in host order (the ops-style CIDR
-// allocation: host i owns 10.0.i.0/24).
+// own wire-cost domain), SSD, xenstore and control domain.
 type Site struct {
 	Name   string
 	Index  int
@@ -78,30 +75,14 @@ type Site struct {
 
 	dom0Ready *sim.Signal
 	down      bool
-	nextIP    uint32 // low octet of the next AllocIP address
 }
 
-// Subnet returns the site's /24 base address (10.0.<index>.0).
-func (s *Site) Subnet() uint32 { return 10<<24 | uint32(s.Index)<<8 }
-
-// AllocIP hands out the next free address in the site's subnet, starting
-// at .10 (the low range is left for hand-assigned infrastructure
-// addresses, matching the existing experiments' conventions).
-func (s *Site) AllocIP() uint32 {
-	if s.nextIP < 10 {
-		s.nextIP = 10
-	}
-	ip := s.Subnet() | s.nextIP
-	s.nextIP++
-	return ip
-}
-
-// SetDown marks the site failed: no further placements resolve to it.
-// Killing the domains and cutting the fabric port is the caller's job
+// SetDown marks the site failed, so placement policies that choose among
+// live hosts (the fleet's round-robin) skip it. Killing the domains and cutting the fabric port is the caller's job
 // (internal/datacenter's KillHost does both).
 func (s *Site) SetDown() { s.down = true }
 
-// Alive reports whether the site accepts placements.
+// Alive reports whether the site has not been marked down.
 func (s *Site) Alive() bool { return !s.down }
 
 // RunConfig is everything about a run that is not the workload itself:
@@ -279,70 +260,18 @@ type DeployOpts struct {
 	Delay time.Duration
 	// PCPU pins the guest's vCPU to this host pCPU (default 0, so
 	// co-deployed guests contend unless spread; -1 allocates a fresh one).
-	// Ignored when Placement is set.
 	PCPU int
-	// Placement, when non-nil, selects the physical host and pCPU via the
-	// typed placement API. Nil keeps the legacy single-host behaviour
-	// (first host, PCPU field above).
-	Placement *Placement
+	// Host names the physical host the domain is built on. Empty means
+	// the first host. A named host is used even when it is down: the
+	// deployment then stalls on its dead dom0, which is what talking to a
+	// failed machine does. An unknown name fails the deployment
+	// (Deployment.Err).
+	Host string
 	// Resume deploys from a migrated snapshot: the toolstack pays the flat
 	// resume cost instead of the memory-scaled build, and guest
 	// start-of-day is the reconnect path (see hypervisor.Config.Resume and
 	// pvboot.Options.Resume).
 	Resume bool
-}
-
-// Affinity is a placement hint used when Placement.Host is empty.
-type Affinity int
-
-const (
-	// AffinityAny places on the first live host.
-	AffinityAny Affinity = iota
-	// AffinitySpread round-robins deployments across live hosts.
-	AffinitySpread
-	// AffinityPack fills the first live host (alias of Any today; it
-	// exists so schedulers can diverge once hosts model capacity).
-	AffinityPack
-)
-
-// Placement is the typed placement request: which physical host a domain
-// is built on, which pCPU its vCPU pins to there, and — when Host is left
-// empty — how the platform should choose among live hosts.
-type Placement struct {
-	Host     string // host name ("" = pick by Affinity)
-	PCPU     int    // pCPU pin on the chosen host (-1 = fresh pCPU)
-	Affinity Affinity
-}
-
-// resolve picks the site a placement lands on. Explicit hosts win even
-// when down (the caller asked for that box; the deployment will stall on
-// its dead dom0, which is what talking to a failed machine does).
-func (pl *Platform) resolve(p *Placement) *Site {
-	if p == nil {
-		return pl.sites[0]
-	}
-	if p.Host != "" {
-		s := pl.SiteByName(p.Host)
-		if s == nil {
-			return nil
-		}
-		return s
-	}
-	live := pl.sites[:0:0]
-	for _, s := range pl.sites {
-		if s.Alive() {
-			live = append(live, s)
-		}
-	}
-	if len(live) == 0 {
-		return nil
-	}
-	if p.Affinity == AffinitySpread {
-		s := live[pl.spread%len(live)]
-		pl.spread++
-		return s
-	}
-	return live[0]
 }
 
 // Deployment is one deployed appliance.
@@ -362,16 +291,15 @@ func (pl *Platform) Deploy(u Unikernel, opts DeployOpts) *Deployment {
 	dep := &Deployment{Name: u.Build.Name, created: pl.K.NewSignal(u.Build.Name + "-created")}
 	pl.deployments = append(pl.deployments, dep)
 
-	site := pl.resolve(opts.Placement)
+	site := pl.sites[0]
+	if opts.Host != "" {
+		site = pl.SiteByName(opts.Host)
+	}
 	if site == nil {
-		dep.Err = fmt.Errorf("core: no live host for placement %+v", opts.Placement)
+		dep.Err = fmt.Errorf("core: unknown host %q", opts.Host)
 		return dep
 	}
 	dep.Site = site
-	pcpu := opts.PCPU
-	if opts.Placement != nil {
-		pcpu = opts.Placement.PCPU
-	}
 
 	bopts := build.Options{DeadCodeElim: true, ASRSeed: int64(len(pl.deployments))*7919 + 1}
 	if opts.BuildOpts != nil {
@@ -433,7 +361,7 @@ func (pl *Platform) Deploy(u Unikernel, opts DeployOpts) *Deployment {
 		// Block guests colocate with dom0: blkback and the SSD are
 		// dom0-shard state, so their rings must not be driven from
 		// another shard.
-		cfg := hypervisor.Config{Name: u.Build.Name, Memory: mem, Entry: entry, PCPU: pcpu, Colocate: opts.Block, Resume: opts.Resume}
+		cfg := hypervisor.Config{Name: u.Build.Name, Memory: mem, Entry: entry, PCPU: opts.PCPU, Colocate: opts.Block, Resume: opts.Resume}
 		if opts.ParallelToolstack {
 			dep.Domain = site.Host.CreateParallel(p, cfg)
 		} else {

@@ -203,3 +203,36 @@ func TestWaitCreatedBlocksUntilDomainExists(t *testing.T) {
 		t.Errorf("WaitCreated returned at %.3fs, before the delayed build", sawAt)
 	}
 }
+
+// TestDeployHostSelectsSite: DeployOpts.Host names the physical host, an
+// unknown name fails the deployment, and an empty name means the first
+// host even when it is marked down.
+func TestDeployHostSelectsSite(t *testing.T) {
+	pl := NewPlatform(9)
+	h0 := pl.Sites()[0]
+	h1 := pl.AddHost("h1")
+	h0.SetDown()
+	app := func(name string) Unikernel {
+		return Unikernel{Build: build.Config{Name: name, Roots: []string{"udp"}}, Main: func(env *Env) int { return 0 }}
+	}
+	named := pl.Deploy(app("on-h1"), DeployOpts{Host: "h1"})
+	unknown := pl.Deploy(app("on-nowhere"), DeployOpts{Host: "h9"})
+	first := pl.Deploy(app("on-first"), DeployOpts{})
+	if unknown.Err == nil || unknown.Site != nil {
+		t.Errorf("unknown host: Err = %v, Site = %v; want an error and no site", unknown.Err, unknown.Site)
+	}
+	if _, err := pl.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		dep  *Deployment
+		want *Site
+	}{{named, h1}, {first, h0}} {
+		if c.dep.Err != nil {
+			t.Fatalf("%s: %v", c.dep.Name, c.dep.Err)
+		}
+		if c.dep.Site != c.want || c.dep.Domain == nil || c.dep.Domain.Host != c.want.Host {
+			t.Errorf("%s not built on %s", c.dep.Name, c.want.Name)
+		}
+	}
+}

@@ -356,8 +356,8 @@ func (dc *DC) Migrate(p *sim.Proc, fl *fleet.Fleet, r *fleet.Replica, dstHost st
 }
 
 // KillHost fails a whole host: every domain on it (dom0 included) is
-// destroyed, its fabric port goes dark in both directions, and placement
-// stops resolving to it. The fleet sees its replicas die and heals across
+// destroyed, its fabric port goes dark in both directions, and the fleet's
+// placement stops choosing it. The fleet sees its replicas die and heals across
 // the surviving failure domains.
 func (dc *DC) KillHost(name string) error {
 	s := dc.pl.SiteByName(name)

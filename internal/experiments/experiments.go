@@ -1,8 +1,7 @@
-// Package experiments is the single registry of runnable experiments.
-// cmd/repro and cmd/mirage used to carry parallel hand-written experiment
-// lists; both now consume this registry, so an experiment (id, title, run
-// function, option plumbing) is declared exactly once and every CLI picks
-// it up — the same consolidation the device package applies to drivers.
+// Package experiments is the single registry of runnable experiments,
+// served by the one experiment CLI, cmd/repro: an experiment (id, title,
+// run function, option plumbing) is declared exactly once here — the same
+// consolidation the device package applies to drivers.
 package experiments
 
 import (
@@ -15,7 +14,7 @@ import (
 )
 
 // Options carries the CLI knobs an experiment may honour. Zero values mean
-// "use the experiment's default", so both CLIs can pass their flag set
+// "use the experiment's default", so the CLI can pass its flag set
 // straight through.
 type Options struct {
 	Quick bool

@@ -5,9 +5,9 @@ import "flag"
 // Param is one declared experiment knob. The table below is the single
 // declaration of every knob an experiment can honour: its flag name, its
 // help text and the Options field it binds to live here and nowhere else.
-// Both CLIs derive their experiment flags from it (BindFlags), and each
+// cmd/repro derives its experiment flags from it (BindFlags), and each
 // Experiment names the knobs it reads in its Params list, so `-list` can
-// show per-experiment usage without either CLI hard-coding a flag.
+// show per-experiment usage without the CLI hard-coding a flag.
 type Param struct {
 	Name string // flag name, e.g. "replicas-min"
 	Help string

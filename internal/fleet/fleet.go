@@ -331,7 +331,7 @@ func (f *Fleet) summon(reason string) *Replica {
 		Net:               &netstack.Config{MAC: r.MAC, IP: r.IP, Netmask: f.spec.Netmask, VIP: f.spec.VIP},
 		ParallelToolstack: true,
 		PCPU:              -1,
-		Placement:         f.placement(idx),
+		Host:              f.placement(idx),
 	})
 	f.mxSummons.Inc()
 	if live := f.Live(); live > f.MaxReplicas {
@@ -361,12 +361,9 @@ func (f *Fleet) deploy(r *Replica, opts core.DeployOpts) {
 }
 
 // placement resolves where replica idx lands under Spec.Hosts: round-robin
-// over the hosts that are still alive. Nil (no Hosts, or every named host
-// down) keeps the legacy first-host deploy path.
-func (f *Fleet) placement(idx int) *core.Placement {
-	if len(f.spec.Hosts) == 0 {
-		return nil
-	}
+// over the hosts that are still alive. "" (no Hosts, or every named host
+// down) deploys on the first host.
+func (f *Fleet) placement(idx int) string {
 	var live []string
 	for _, h := range f.spec.Hosts {
 		if s := f.pl.SiteByName(h); s != nil && s.Alive() {
@@ -374,9 +371,9 @@ func (f *Fleet) placement(idx int) *core.Placement {
 		}
 	}
 	if len(live) == 0 {
-		return nil
+		return ""
 	}
-	return &core.Placement{Host: live[idx%len(live)], PCPU: -1}
+	return live[idx%len(live)]
 }
 
 // BeginMigrate freezes replica r for live migration: the domain suspends
@@ -416,7 +413,7 @@ func (f *Fleet) ResumeMigrated(r *Replica, host string) *core.Deployment {
 		Net:               &netstack.Config{MAC: r.MAC, IP: r.IP, Netmask: f.spec.Netmask, VIP: f.spec.VIP},
 		ParallelToolstack: true,
 		PCPU:              -1,
-		Placement:         &core.Placement{Host: host, PCPU: -1},
+		Host:              host,
 		Resume:            true,
 	})
 	f.event("migrate-resume %s host=%s", r.Name, host)
@@ -565,17 +562,6 @@ func (f *Fleet) drainOne(reason string) {
 func (f *Fleet) DrainReplica(r *Replica) {
 	if r != nil && r.fleet == f {
 		f.drain(r, "manual")
-	}
-}
-
-// Drain starts draining the replica at position idx in Replicas().
-//
-// Deprecated: use DrainReplica (or ReplicaByName + DrainReplica) — a
-// positional index names whatever occupies the slot, not the replica the
-// caller meant, once cross-host replacement and migration are in play.
-func (f *Fleet) Drain(idx int) {
-	if idx >= 0 && idx < len(f.replicas) {
-		f.drain(f.replicas[idx], "manual")
 	}
 }
 

@@ -600,12 +600,6 @@ func (d *Domain) Seal(p *sim.Proc) error {
 	return d.PT.Seal()
 }
 
-// Hypercall charges one generic hypercall's cost to the domain's vCPU.
-func (d *Domain) Hypercall(p *sim.Proc) {
-	d.Host.mxHypercalls.Inc()
-	p.Use(d.VCPU, d.Host.Params.HypercallCost)
-}
-
 // Poll blocks the domain on a set of event channels and a timeout — the
 // PVBoot domainpoll primitive (§3.2). It returns the index of the port that
 // fired, or -1 on timeout.

@@ -401,18 +401,3 @@ func (s *Scheduler) Run(p *sim.Proc, main Waiter) error {
 		}
 	}
 }
-
-// RunAll evaluates until the ready queue and timer heap are empty (used by
-// benchmarks that drive mass thread populations with no single main).
-func (s *Scheduler) RunAll(p *sim.Proc) {
-	for len(s.ready) > 0 || len(s.timers) > 0 {
-		s.runReady(p)
-		if len(s.timers) > 0 {
-			next := s.timers[0].at
-			p.SleepUntil(next)
-		}
-	}
-}
-
-// PendingTimers returns the number of armed timers.
-func (s *Scheduler) PendingTimers() int { return len(s.timers) }

@@ -395,6 +395,3 @@ func (h *Heap) Drain() time.Duration {
 
 // LiveBytes returns current live data (minor + major).
 func (h *Heap) LiveBytes() int { return h.minorUsed + h.liveMajor }
-
-// MajorCap returns the current major heap capacity in bytes.
-func (h *Heap) MajorCap() int { return h.majorCap }

@@ -77,28 +77,12 @@ type Params struct {
 	Link
 }
 
-// NewParams is the back-compat constructor matching the historical field
-// order (per-packet cost, per-byte cost, propagation latency — the field
-// formerly named Latency).
-func NewParams(perPacket, perByte, propagation time.Duration) Params {
-	return Params{Link{
-		PerPacketCost: perPacket,
-		PerByteCost:   perByte,
-		Propagation:   propagation,
-	}}
-}
-
-// Latency returns the propagation latency under its historical name.
-//
-// Deprecated: use the Propagation field.
-func (p Params) Latency() time.Duration { return p.Propagation }
-
 // DefaultParams model a host whose backend domain can switch slightly
 // above gigabit line rate, matching the paper's testbed (§4.1.3).
 func DefaultParams() Params {
-	return NewParams(
-		2*time.Microsecond,
-		4*time.Nanosecond, // ~2 Gbit/s link ceiling
-		10*time.Microsecond,
-	)
+	return Params{Link{
+		PerPacketCost: 2 * time.Microsecond,
+		PerByteCost:   4 * time.Nanosecond, // ~2 Gbit/s link ceiling
+		Propagation:   10 * time.Microsecond,
+	}}
 }

@@ -71,15 +71,3 @@ func TestLinkReserveBulk(t *testing.T) {
 		t.Errorf("bulk copy done at %v, want %v", at, want)
 	}
 }
-
-// TestParamsLinkCompat pins the back-compat surface: NewParams fills the
-// embedded Link and the deprecated Latency() reads Propagation.
-func TestParamsLinkCompat(t *testing.T) {
-	p := NewParams(time.Microsecond, 4*time.Nanosecond, 10*time.Microsecond)
-	if p.PerPacketCost != time.Microsecond || p.PerByteCost != 4*time.Nanosecond {
-		t.Errorf("NewParams link fields = %+v", p.Link)
-	}
-	if p.Latency() != p.Propagation || p.Latency() != 10*time.Microsecond {
-		t.Errorf("Latency() = %v, want Propagation %v", p.Latency(), p.Propagation)
-	}
-}

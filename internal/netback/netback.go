@@ -265,9 +265,7 @@ func (b *Bridge) Transmit(src MAC, f *bufpool.Buf) {
 	var dst MAC
 	copy(dst[:], frame[0:6])
 
-	at := b.Params.Reserve(b.CPU, b.Wire, len(frame))
-	b.Bytes += len(frame)
-	b.mxBytes.Add(int64(len(frame)))
+	at := b.traverse(len(frame))
 
 	if dst == Broadcast {
 		b.Flooded++
@@ -302,6 +300,14 @@ func (b *Bridge) Transmit(src MAC, f *bufpool.Buf) {
 	b.deliver(dst, e, at, f)
 }
 
+// traverse charges one n-byte frame's pass through the bridge (switching
+// CPU and wire, see Link.Reserve) and returns its delivery instant.
+func (b *Bridge) traverse(n int) sim.Time {
+	b.Bytes += n
+	b.mxBytes.Add(int64(n))
+	return b.Params.Reserve(b.CPU, b.Wire, n)
+}
+
 // floodLocal delivers one broadcast reference to every local endpoint but
 // the source, in MAC order (map iteration order would make event sequencing
 // and traces differ between identical runs). Consumes the caller's ref.
@@ -334,9 +340,7 @@ func (b *Bridge) Inject(f *bufpool.Buf) {
 	copy(dst[:], frame[0:6])
 	copy(src[:], frame[6:12])
 
-	at := b.Params.Reserve(b.CPU, b.Wire, len(frame))
-	b.Bytes += len(frame)
-	b.mxBytes.Add(int64(len(frame)))
+	at := b.traverse(len(frame))
 
 	if dst == Broadcast {
 		b.Flooded++
@@ -365,9 +369,7 @@ func (b *Bridge) InjectSteer(dst MAC, f *bufpool.Buf) bool {
 		f.Release()
 		return false
 	}
-	at := b.Params.Reserve(b.CPU, b.Wire, f.Len())
-	b.Bytes += f.Len()
-	b.mxBytes.Add(int64(f.Len()))
+	at := b.traverse(f.Len())
 	b.Steered++
 	b.mxSteered.Inc()
 	b.deliver(dst, e, at, f)
@@ -383,33 +385,24 @@ func (b *Bridge) InjectSteer(dst MAC, f *bufpool.Buf) bool {
 // discarded) when no endpoint owns dst.
 func (b *Bridge) Steer(dst MAC, f *bufpool.Buf) bool {
 	e, ok := b.endpoints[dst]
-	if !ok {
-		if b.uplink != nil {
-			// Charge the local traversal, then hand the steering decision
-			// to the fabric once the frame has cleared this bridge.
-			frame := f.Bytes()
-			at := b.Params.Reserve(b.CPU, b.Wire, len(frame))
-			b.Bytes += len(frame)
-			b.mxBytes.Add(int64(len(frame)))
-			b.Steered++
-			b.mxSteered.Inc()
-			u := b.uplink
-			b.K.At(at, func() { u.SteerRemote(dst, f) })
-			return true
-		}
+	if !ok && b.uplink == nil {
 		b.NoRoute++
 		f.Release()
 		return false
 	}
-	frame := f.Bytes()
-	at := b.Params.Reserve(b.CPU, b.Wire, len(frame))
-	b.Bytes += len(frame)
-	b.mxBytes.Add(int64(len(frame)))
+	at := b.traverse(f.Len())
 	b.Steered++
 	b.mxSteered.Inc()
+	if !ok {
+		// Hand the steering decision to the fabric once the frame has
+		// cleared this bridge.
+		u := b.uplink
+		b.K.At(at, func() { u.SteerRemote(dst, f) })
+		return true
+	}
 	if tr := b.K.Trace(); tr.Enabled() {
 		tr.Instant(b.K.TraceTime(), "net", "bridge-steer", 0, 0,
-			obs.Str("dst", dst.String()), obs.Int("bytes", int64(len(frame))))
+			obs.Str("dst", dst.String()), obs.Int("bytes", int64(f.Len())))
 	}
 	b.deliver(dst, e, at, f)
 	return true

@@ -95,13 +95,6 @@ func NewTracer(cap int) *Tracer {
 // Enable turns event recording on.
 func (t *Tracer) Enable() { t.enabled = true }
 
-// Disable turns event recording off.
-func (t *Tracer) Disable() {
-	if t != nil {
-		t.enabled = false
-	}
-}
-
 // Enabled reports whether Add calls will record. Safe on nil.
 func (t *Tracer) Enabled() bool {
 	if t == nil {

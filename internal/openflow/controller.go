@@ -189,7 +189,12 @@ func (sw *Switch) Input(data []byte) error {
 			sw.FlowsAdded++
 			sw.table = append(sw.table, FlowEntry{Match: fm.Match, Priority: fm.Priority, OutPort: fm.OutPort})
 		case TypePacketOut:
-			// Datapath would emit the packet; nothing to model here.
+			// A well-formed PACKET_OUT would be emitted by the datapath,
+			// which is not modeled; a malformed one is rejected like a bad
+			// FLOW_MOD.
+			if _, err := ParsePacketOut(m); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

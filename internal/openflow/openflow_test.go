@@ -193,3 +193,20 @@ func TestPropFramingInvariance(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSwitchRejectsShortPacketOut: the switch parses PACKET_OUT rather than
+// ignoring it, so a message too short to hold its fixed fields is an error,
+// as a short FLOW_MOD is; a well-formed one is accepted.
+func TestSwitchRejectsShortPacketOut(t *testing.T) {
+	sw := NewSwitch(1, &loopTransport{sink: func([]byte) {}})
+	short := make([]byte, HeaderLen+8)
+	putHeader(short, TypePacketOut, 7)
+	if err := sw.Input(short); err == nil {
+		t.Error("short PACKET_OUT accepted")
+	}
+	sw = NewSwitch(1, &loopTransport{sink: func([]byte) {}})
+	ok := EncodePacketOut(PacketOut{XID: 8, BufferID: 1, InPort: 2, OutPort: 0xFFFB, Data: MakeFrame([6]byte{1}, [6]byte{2})})
+	if err := sw.Input(ok); err != nil {
+		t.Errorf("well-formed PACKET_OUT rejected: %v", err)
+	}
+}

@@ -169,6 +169,10 @@ type Back struct {
 	rspProdPvt  uint32
 	reqConsumed uint32
 
+	// Overflows counts PopRequest calls refused because the frontend
+	// published a req_prod more than Slots ahead of the responses produced.
+	Overflows int
+
 	Hooks BackHooks
 }
 
@@ -177,12 +181,30 @@ func NewBack(page *cstruct.View) *Back {
 	return &Back{sh: Attach(page)}
 }
 
-// PendingRequests reports whether unconsumed requests exist.
-func (b *Back) PendingRequests() bool { return b.sh.reqProd() != b.reqConsumed }
+// PendingRequests reports whether a request is ready to consume: false
+// while the frontend's req_prod overflows the ring (see PopRequest), so a
+// backend worker parks instead of spinning on requests it will refuse.
+func (b *Back) PendingRequests() bool {
+	prod := b.sh.reqProd()
+	return prod != b.reqConsumed && !b.overflowed(prod)
+}
 
-// PopRequest consumes one request via decode; false if none pending.
+// overflowed is Xen's RING_REQUEST_PROD_OVERFLOW. The req_prod index is
+// guest-written, so it is untrusted: a frontend that keeps at most Slots
+// requests outstanding never publishes one more than Slots ahead of the
+// responses produced, and anything further would have the backend consume
+// stale slots over and over.
+func (b *Back) overflowed(prod uint32) bool { return prod-b.rspProdPvt > Slots }
+
+// PopRequest consumes one request via decode; false if none pending or if
+// the frontend's req_prod overflows the ring (counted in Overflows).
 func (b *Back) PopRequest(decode func(slot *cstruct.View)) bool {
-	if !b.PendingRequests() {
+	prod := b.sh.reqProd()
+	if prod == b.reqConsumed {
+		return false
+	}
+	if b.overflowed(prod) {
+		b.Overflows++
 		return false
 	}
 	decode(b.sh.slot(b.reqConsumed))

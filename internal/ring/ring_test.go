@@ -328,3 +328,28 @@ func TestPropVchanStreamIdentity(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestBackRefusesRequestProdOverflow: a hostile frontend publishes a
+// req_prod far past the ring; the backend must consume at most one ring's
+// worth of slots, count the overflow and report nothing pending, so a
+// worker draining the ring terminates and parks.
+func TestBackRefusesRequestProdOverflow(t *testing.T) {
+	_, b, page := newPair()
+	Attach(page).setReqProd(1 << 20)
+	pops := 0
+	for b.PopRequest(func(*cstruct.View) {}) {
+		pops++
+		if pops > Slots {
+			t.Fatalf("backend consumed more than %d requests from a %d-slot ring", pops, Slots)
+		}
+	}
+	if b.Overflows == 0 {
+		t.Error("overflow not counted")
+	}
+	if b.PendingRequests() {
+		t.Error("PendingRequests true on an overflowed ring: a worker would spin")
+	}
+	if b.EnableRequestEvents() {
+		t.Error("EnableRequestEvents reports a race on an overflowed ring")
+	}
+}

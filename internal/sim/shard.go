@@ -64,7 +64,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -216,9 +215,6 @@ func (c *Cluster) SetAdaptive(on bool) {
 	}
 }
 
-// Adaptive reports whether the width controller is enabled.
-func (c *Cluster) Adaptive() bool { return c.adaptive }
-
 // WidthMult returns the current epoch width multiplier. Meaningful between
 // Run calls (the controller owns it at barriers).
 func (c *Cluster) WidthMult() int { return int(c.mult) }
@@ -241,9 +237,6 @@ func (c *Cluster) Shards() int { return len(c.kernels) }
 
 // Kernel returns shard i's kernel.
 func (c *Cluster) Kernel(i int) *Kernel { return c.kernels[i] }
-
-// Lookahead returns the cluster's cross-shard lookahead W.
-func (c *Cluster) Lookahead() time.Duration { return time.Duration(c.w) }
 
 // Cluster returns the cluster this kernel shards, or nil for a plain kernel.
 func (k *Kernel) Cluster() *Cluster { return k.cluster }
@@ -644,14 +637,6 @@ func (c *Cluster) worker(i int) {
 // StopAt applies), mirroring Kernel.Run's deadlock semantics cluster-wide.
 func (c *Cluster) Run() (Time, error) {
 	c.runEpochs()
-	nondaemon := 0
-	for _, k := range c.kernels {
-		for p := range k.live {
-			if !p.daemon {
-				nondaemon++
-			}
-		}
-	}
 	hasWork := c.mailboxesPending()
 	for _, k := range c.kernels {
 		if k.peekLive() != nil {
@@ -659,20 +644,8 @@ func (c *Cluster) Run() (Time, error) {
 		}
 	}
 	now := c.Now()
-	if !c.stopped.Load() && (c.limit == 0 || !hasWork) && nondaemon > 0 {
-		var parked []string
-		for _, k := range c.kernels {
-			for p := range k.live {
-				if !p.daemon {
-					parked = append(parked, fmt.Sprintf("%s@%s", p.name, p.parkAt))
-				}
-			}
-		}
-		sort.Strings(parked)
-		if len(parked) > 8 {
-			parked = append(parked[:8], "...")
-		}
-		return now, fmt.Errorf("sim: deadlock at %v: %d procs parked: %s", now, nondaemon, fmt.Sprint(parked))
+	if !c.stopped.Load() && (c.limit == 0 || !hasWork) {
+		return now, deadlock(now, c.kernels)
 	}
 	return now, nil
 }

@@ -219,14 +219,20 @@ func (k *Kernel) Metrics() *obs.Registry { return k.metrics }
 // CPUs returns every CPU created on this kernel — on a sharded kernel,
 // across all shards — in (shard, creation) order.
 func (k *Kernel) CPUs() []*CPU {
-	if k.cluster == nil {
-		return k.cpus
-	}
 	var out []*CPU
-	for _, sk := range k.cluster.kernels {
+	for _, sk := range k.shards() {
 		out = append(out, sk.cpus...)
 	}
 	return out
+}
+
+// shards returns the kernels the whole-run queries sum over: every shard
+// of a sharded kernel, or k alone.
+func (k *Kernel) shards() []*Kernel {
+	if k.cluster == nil {
+		return []*Kernel{k}
+	}
+	return k.cluster.kernels
 }
 
 // TraceTime converts the kernel clock for tracer calls.
@@ -266,11 +272,8 @@ func (k *Kernel) At(t Time, fn func()) Event {
 // entries included); on a sharded kernel, summed across shards. Only
 // meaningful outside the run loop — call it between Run calls.
 func (k *Kernel) EventQueueLen() int {
-	if k.cluster == nil {
-		return len(k.events)
-	}
 	n := 0
-	for _, sk := range k.cluster.kernels {
+	for _, sk := range k.shards() {
 		n += len(sk.events)
 	}
 	return n
@@ -280,11 +283,8 @@ func (k *Kernel) EventQueueLen() int {
 // kernel, the sum of per-shard peaks (each tracked locally, so serial and
 // parallel runs agree). Call between Run calls.
 func (k *Kernel) EventHeapPeak() int {
-	if k.cluster == nil {
-		return k.heapPeak
-	}
 	n := 0
-	for _, sk := range k.cluster.kernels {
+	for _, sk := range k.shards() {
 		n += sk.heapPeak
 	}
 	return n
@@ -293,14 +293,8 @@ func (k *Kernel) EventHeapPeak() int {
 // WheelTimers returns the number of pending timing-wheel timers; on a
 // sharded kernel, summed across shards. Call between Run calls.
 func (k *Kernel) WheelTimers() int {
-	if k.cluster == nil {
-		if k.wheel == nil {
-			return 0
-		}
-		return k.wheel.count
-	}
 	n := 0
-	for _, sk := range k.cluster.kernels {
+	for _, sk := range k.shards() {
 		if sk.wheel != nil {
 			n += sk.wheel.count
 		}
@@ -311,14 +305,8 @@ func (k *Kernel) WheelTimers() int {
 // WheelTimerPeak returns the high-water mark of pending timing-wheel
 // timers, summed across shards on a sharded kernel. Call between Run calls.
 func (k *Kernel) WheelTimerPeak() int {
-	if k.cluster == nil {
-		if k.wheel == nil {
-			return 0
-		}
-		return k.wheel.peak
-	}
 	n := 0
-	for _, sk := range k.cluster.kernels {
+	for _, sk := range k.shards() {
 		if sk.wheel != nil {
 			n += sk.wheel.peak
 		}
@@ -526,14 +514,8 @@ func (k *Kernel) Run() (Time, error) {
 			break
 		}
 	}
-	nondaemon := 0
-	for p := range k.live {
-		if !p.daemon {
-			nondaemon++
-		}
-	}
-	if !k.stopped && (k.limit == 0 || k.peekLive() == nil) && nondaemon > 0 {
-		return k.now, fmt.Errorf("sim: deadlock at %v: %d procs parked: %s", k.now, nondaemon, k.parkedProcs())
+	if !k.stopped && (k.limit == 0 || k.peekLive() == nil) {
+		return k.now, deadlock(k.now, k.shards())
 	}
 	return k.now, nil
 }
@@ -555,16 +537,27 @@ func (k *Kernel) RunFor(d time.Duration) (Time, error) {
 	return t, err
 }
 
-func (k *Kernel) parkedProcs() string {
-	var names []string
-	for p := range k.live {
-		names = append(names, fmt.Sprintf("%s@%s", p.name, p.parkAt))
+// deadlock reports the non-daemon procs still parked on kernels once
+// nothing is left to wake them, or nil when there are none (daemons may
+// stay parked forever).
+func deadlock(now Time, kernels []*Kernel) error {
+	var parked []string
+	for _, k := range kernels {
+		for p := range k.live {
+			if !p.daemon {
+				parked = append(parked, fmt.Sprintf("%s@%s", p.name, p.parkAt))
+			}
+		}
 	}
-	sort.Strings(names)
-	if len(names) > 8 {
-		names = append(names[:8], "...")
+	if len(parked) == 0 {
+		return nil
 	}
-	return fmt.Sprint(names)
+	n := len(parked)
+	sort.Strings(parked)
+	if n > 8 {
+		parked = append(parked[:8], "...")
+	}
+	return fmt.Errorf("sim: deadlock at %v: %d procs parked: %s", now, n, fmt.Sprint(parked))
 }
 
 // park blocks p until the kernel resumes it. The caller must already have
@@ -637,9 +630,6 @@ func (s *Signal) Name() string { return s.name }
 
 // Pending reports whether the signal has an unconsumed Set.
 func (s *Signal) Pending() bool { return s.pending }
-
-// Clear discards any pending state.
-func (s *Signal) Clear() { s.pending = false }
 
 // OnSet registers fn to run (in kernel context) each time the signal fires.
 func (s *Signal) OnSet(fn func()) { s.hooks = append(s.hooks, fn) }

@@ -178,14 +178,6 @@ func (c *Conn) spanArgs(args ...obs.Arg) []obs.Arg {
 	return append(args, obs.U64("trace_id", c.span))
 }
 
-// RemoteAddr returns the peer's address and port.
-func (c *Conn) RemoteAddr() (addr uint32, port uint16) {
-	return uint32(c.key.remoteIP), c.key.remotePort
-}
-
-// LocalPort returns the local port.
-func (c *Conn) LocalPort() uint16 { return c.key.localPort }
-
 // TraceID returns the causal-tracing trace id riding this connection
 // (0 = untraced).
 func (c *Conn) TraceID() uint64 { return c.span }
